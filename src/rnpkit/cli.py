@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .counting import count_induced, count_noninduced
+from .counting import MAX_HOST_NODES, PatternCensus, count_induced, count_noninduced
 from .covering import family_covering_sequence, is_vertex_covering_sequence, min_r1_covering_sequence
 from .encoder import (
     encoding_digest,
@@ -22,7 +22,13 @@ from .encoder import (
     rnp_encode_nodes,
     update_bound,
 )
-from .generators import erdos_renyi, pattern, prime_partite, random_regular_perturbed
+from .generators import (
+    check_regular_parameters,
+    erdos_renyi,
+    pattern,
+    prime_partite,
+    random_regular_perturbed,
+)
 from .graphs import Graph, parse_graph, serialize_graph
 from .wl import wl_distinguish, wl_refine
 
@@ -187,6 +193,14 @@ _GENERATOR_KEYS = {
 _KNOWN_CHECKS = ("theorem1", "theorem3")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _load_experiment_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -203,15 +217,43 @@ def _load_experiment_spec(path: str) -> dict:
     missing = {"generator", "trials", "base_seed", "patterns", "radii"} - set(spec)
     if missing:
         raise UserError(f"{path}: missing spec fields {sorted(missing)}")
+    for key in ("trials", "base_seed"):
+        if not _is_count(spec[key]):
+            raise UserError(f"{path}: {key} must be a nonnegative integer")
+    if not _is_string_list(spec["patterns"]):
+        raise UserError(f"{path}: patterns must be a list of file names")
     gen = spec["generator"]
-    if not isinstance(gen, dict) or "kind" not in gen:
+    if not isinstance(gen, dict) or not isinstance(gen.get("kind"), str):
         raise UserError(f"{path}: generator must be an object with a 'kind'")
     if gen["kind"] not in _GENERATOR_KEYS:
         raise UserError(f"{path}: unknown generator kind '{gen['kind']}'")
     extra = set(gen) - _GENERATOR_KEYS[gen["kind"]]
     if extra:
         raise UserError(f"{path}: unknown generator fields {sorted(extra)}")
-    for check in spec.get("checks", []):
+    absent = _GENERATOR_KEYS[gen["kind"]] - set(gen)
+    if absent:
+        raise UserError(f"{path}: missing generator fields {sorted(absent)}")
+    for key in sorted(_GENERATOR_KEYS[gen["kind"]] - {"kind", "p"}):
+        if not _is_count(gen[key]):
+            raise UserError(f"{path}: generator {key} must be a nonnegative integer")
+    if gen["kind"] == "er":
+        p = gen["p"]
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+            raise UserError(f"{path}: generator p must be a number in [0, 1]")
+    else:
+        try:
+            check_regular_parameters(gen["n"], gen["d"], gen["delete"])
+        except ValueError as exc:
+            raise UserError(f"{path}: generator: {exc}") from None
+    if spec["patterns"] and gen["n"] > MAX_HOST_NODES:
+        raise UserError(
+            f"{path}: generator n is {gen['n']}, but pattern counting"
+            f" supports hosts of at most {MAX_HOST_NODES} nodes"
+        )
+    checks = spec.get("checks", [])
+    if not _is_string_list(checks):
+        raise UserError(f"{path}: checks must be a list of names")
+    for check in checks:
         if check not in _KNOWN_CHECKS:
             raise UserError(f"{path}: unknown check '{check}'")
     mode = spec.get("mode", "induced")
@@ -239,14 +281,13 @@ def _cmd_experiment(args, out) -> int:
             raise UserError("radii 'auto' requires at least one pattern")
         radii = family_covering_sequence(patterns)
     elif isinstance(spec["radii"], list) and all(
-        isinstance(r, int) and r >= 0 for r in spec["radii"]
+        _is_count(r) for r in spec["radii"]
     ) and spec["radii"]:
         radii = tuple(spec["radii"])
     else:
         raise UserError("radii must be 'auto' or a nonempty list of nonnegative integers")
     checks = list(spec.get("checks", []))
-    mode = spec.get("mode", "induced")
-    counter_fn = count_induced if mode == "induced" else count_noninduced
+    census = PatternCensus(patterns, spec.get("mode", "induced"))
 
     header = ["trial", "seed", "generator", "n", "radii"]
     header += [f"count:{p}" for p in spec["patterns"]]
@@ -258,15 +299,19 @@ def _cmd_experiment(args, out) -> int:
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    previous: list[tuple[tuple[int, ...], bytes, str]] = []
+    # Earlier trials, grouped exactly: encoding -> {count vector: trials}.
+    trials_by_encoding: dict[bytes, dict[tuple[int, ...], int]] = {}
+    wl_keys: set[str] = set()
     radii_text = ",".join(str(r) for r in radii)
     for trial in range(spec["trials"]):
         seed = spec["base_seed"] + trial
         graph, label = _generate_trial(spec["generator"], seed)
-        counts = tuple(counter_fn(graph, p) for p in patterns)
+        counts = census.counts(graph)
         encodings, counter = rnp_encode_nodes(graph, radii)
         encoding = graph_readout(encodings.values())
         wl_key = json.dumps(wl_refine(graph), sort_keys=True)
+        bound = update_bound(graph, radii)
+        same_encoding = trials_by_encoding.setdefault(encoding, {})
         row = [
             trial,
             seed,
@@ -276,22 +321,17 @@ def _cmd_experiment(args, out) -> int:
             *counts,
             encoding_digest(encoding)[:16],
             counter.invocations,
-            update_bound(graph, radii),
-            all(encoding != enc for _, enc, _ in previous),
-            all(wl_key != key for _, _, key in previous),
+            bound,
+            not same_encoding,
+            wl_key not in wl_keys,
         ]
         if "theorem1" in checks:
-            row.append(
-                sum(
-                    1
-                    for prior_counts, enc, _ in previous
-                    if prior_counts != counts and enc == encoding
-                )
-            )
+            row.append(sum(same_encoding.values()) - same_encoding.get(counts, 0))
         if "theorem3" in checks:
-            row.append(counter.invocations <= update_bound(graph, radii))
+            row.append(counter.invocations <= bound)
         writer.writerow(row)
-        previous.append((counts, encoding, wl_key))
+        same_encoding[counts] = same_encoding.get(counts, 0) + 1
+        wl_keys.add(wl_key)
     return 0
 
 

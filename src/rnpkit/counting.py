@@ -1,15 +1,18 @@
-"""Exact brute-force subgraph counting.
+"""Exact subgraph counting: brute-force oracles and a census for batches.
 
-These are the ground-truth oracles the encoder is checked against, so
+The oracles are the ground truth the encoder is checked against, so
 they favour exactness and independence over speed: induced counts come
 from explicit vertex-subset enumeration, non-induced counts from an
 injective-homomorphism search divided by the pattern's automorphism
-count.  Attribute matching is exact equality throughout.
+count.  ``PatternCensus`` counts a fixed list of patterns in many hosts
+from one connected-subset enumeration per pattern size, and tests check
+it against the oracles.  Attribute matching is exact equality throughout.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -18,6 +21,8 @@ from .graphs import (
     _isomorphic,
     _search_order,
     bits_of,
+    canonical_code,
+    is_connected,
 )
 
 MAX_PATTERN_NODES = 8
@@ -26,15 +31,23 @@ MAX_HISTOGRAM_PATTERN_NODES = 5
 MAX_HISTOGRAM_HOST_NODES = 40
 
 
-def _check_sizes(g: Graph, h: Graph) -> None:
+def _check_pattern_size(h: Graph) -> None:
     if h.node_count > MAX_PATTERN_NODES:
         raise UnsupportedSizeError(
             f"pattern has {h.node_count} nodes, limit is {MAX_PATTERN_NODES}"
         )
+
+
+def _check_host_size(g: Graph) -> None:
     if g.node_count > MAX_HOST_NODES:
         raise UnsupportedSizeError(
             f"host has {g.node_count} nodes, limit is {MAX_HOST_NODES}"
         )
+
+
+def _check_sizes(g: Graph, h: Graph) -> None:
+    _check_pattern_size(h)
+    _check_host_size(g)
 
 
 def _induced_rows(g: Graph, nodes: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,10 +128,7 @@ def _injective_homomorphisms(h: Graph, g: Graph) -> int:
 
 def automorphism_count(h: Graph) -> int:
     """Number of attribute- and adjacency-preserving self-bijections of h."""
-    if h.node_count > MAX_PATTERN_NODES:
-        raise UnsupportedSizeError(
-            f"pattern has {h.node_count} nodes, limit is {MAX_PATTERN_NODES}"
-        )
+    _check_pattern_size(h)
     k = h.node_count
     if k == 0:
         return 1
@@ -186,3 +196,106 @@ def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:
         code = _canonical_code(rows, attrs)
         histogram[code] = histogram.get(code, 0) + 1
     return histogram
+
+
+def _connected_census(g: Graph, k: int) -> tuple[dict[bytes, int], dict[bytes, Graph]]:
+    """Histogram of g's connected k-node induced subgraphs by canonical code,
+    with one representative graph per class.
+
+    ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
+    each connected k-subset exactly once: a subset grows from its smallest
+    node, and each added node brings in only its neighbours above that
+    node which are not yet in or next to the subset.
+    """
+    adjacency = g.adjacency
+    attributes = g.attributes
+    histogram: dict[bytes, int] = {}
+    representatives: dict[bytes, Graph] = {}
+    nodes: list[int] = []
+
+    def extend(extension: int, closed: int, above: int) -> None:
+        # closed: the subset and all its neighbours
+        if len(nodes) == k:
+            subset = tuple(nodes)
+            rows = _induced_rows(g, subset)
+            attrs = tuple(attributes[v] for v in subset)
+            code = _canonical_code(rows, attrs)
+            seen = histogram.get(code, 0)
+            if not seen:
+                representatives[code] = Graph(k, rows, attrs)
+            histogram[code] = seen + 1
+            return
+        while extension:
+            low = extension & -extension
+            extension ^= low
+            w = low.bit_length() - 1
+            nodes.append(w)
+            extend(extension | (adjacency[w] & ~closed & above), closed | adjacency[w], above)
+            nodes.pop()
+
+    for v in range(g.node_count):
+        above = -1 << (v + 1)
+        nodes.append(v)
+        extend(adjacency[v] & above, adjacency[v] | (1 << v), above)
+        nodes.pop()
+    return histogram, representatives
+
+
+class PatternCensus:
+    """Counts of a fixed list of patterns in many hosts, in one mode.
+
+    A connected pattern of 1 to MAX_HISTOGRAM_PATTERN_NODES nodes can only
+    match a connected vertex subset of its own size, so each such size is
+    counted by one ESU census of the host, shared by every pattern of
+    that size.  In induced mode a pattern's count is its class's entry;
+    in non-induced mode it is the edge-superset sum over the classes K
+    found, hist[K] * count_noninduced(rep_K, pattern), with each
+    (class, pattern) coefficient memoized for the life of the object.
+    Larger patterns (whose canonical codes get costly) and disconnected
+    or empty ones are counted by the oracles.
+    """
+
+    def __init__(self, patterns: Sequence[Graph], mode: str = "induced"):
+        if mode not in ("induced", "noninduced"):
+            raise ValueError("mode must be 'induced' or 'noninduced'")
+        for h in patterns:
+            _check_pattern_size(h)
+        self._patterns = tuple(patterns)
+        self._induced = mode == "induced"
+        # pattern size -> [(pattern index, canonical code)]
+        self._by_size: dict[int, list[tuple[int, bytes]]] = {}
+        self._oracle: list[int] = []
+        for i, h in enumerate(self._patterns):
+            if 1 <= h.node_count <= MAX_HISTOGRAM_PATTERN_NODES and is_connected(h):
+                self._by_size.setdefault(h.node_count, []).append((i, canonical_code(h)))
+            else:
+                self._oracle.append(i)
+        self._coefficients: dict[tuple[bytes, int], int] = {}
+
+    def counts(self, g: Graph) -> tuple[int, ...]:
+        """One count per pattern, equal to count_induced / count_noninduced."""
+        if self._patterns:
+            _check_host_size(g)
+        counts = [0] * len(self._patterns)
+        for k, members in self._by_size.items():
+            histogram, representatives = _connected_census(g, k)
+            for i, pattern_code in members:
+                if self._induced:
+                    counts[i] = histogram.get(pattern_code, 0)
+                else:
+                    counts[i] = sum(
+                        seen * self._coefficient(code, representatives[code], i)
+                        for code, seen in histogram.items()
+                    )
+        oracle = count_induced if self._induced else count_noninduced
+        for i in self._oracle:
+            counts[i] = oracle(g, self._patterns[i])
+        return tuple(counts)
+
+    def _coefficient(self, code: bytes, representative: Graph, i: int) -> int:
+        key = (code, i)
+        value = self._coefficients.get(key)
+        if value is None:
+            value = count_noninduced(representative, self._patterns[i])
+            self._coefficients[key] = value
+        return value

@@ -36,12 +36,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 _PAIRING_MAX_ATTEMPTS = 100_000
 
 
-def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph:
-    """Pairing-model d-regular graph with ``deletions`` random edges removed.
-
-    The pairing model is resampled wholesale until it yields a simple
-    graph, then ``deletions`` distinct edges are deleted uniformly.
-    """
+def check_regular_parameters(n: int, d: int, deletions: int) -> None:
+    """Raise ValueError unless ``random_regular_perturbed`` accepts these."""
     if d < 0 or deletions < 0:
         raise ValueError("degree and deletions must be nonnegative")
     if d >= n and not (n == 0 and d == 0):
@@ -50,6 +46,15 @@ def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph
         raise ValueError("n * d must be even")
     if deletions > n * d // 2:
         raise ValueError("cannot delete more edges than the regular graph has")
+
+
+def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph:
+    """Pairing-model d-regular graph with ``deletions`` random edges removed.
+
+    The pairing model is resampled wholesale until it yields a simple
+    graph, then ``deletions`` distinct edges are deleted uniformly.
+    """
+    check_regular_parameters(n, d, deletions)
     rng = SplitMix64(seed)
     pairing = rng.split(0)
     deleting = rng.split(1)

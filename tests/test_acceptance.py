@@ -13,6 +13,7 @@ from collections import defaultdict
 from itertools import combinations
 from math import comb, prod
 
+import rnpkit
 from rnpkit import (
     SplitMix64,
     admits,
@@ -243,12 +244,20 @@ def test_criterion_8_oracle_cross_validation(capsys):
     _report(capsys, "8 oracle cross-validation", ok, started, limit=300.0)
 
 
+# The package's parent directory, absolute, so that the child process
+# imports this rnpkit whatever its working directory and PYTHONPATH.
+_SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
+
+
 def _run_cli(args, cwd, hash_seed):
+    python_path = os.pathsep.join(
+        part for part in (_SOURCE_DIR, os.environ.get("PYTHONPATH")) if part
+    )
     return subprocess.run(
         [sys.executable, "-m", "rnpkit.cli", *args],
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path},
     )
 
 

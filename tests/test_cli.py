@@ -1,9 +1,26 @@
+import csv
 import io
 import json
 import subprocess
 import sys
 
-from rnpkit import complete, cycle, parse_graph, path, serialize_graph, star, two_triangles
+import pytest
+
+from rnpkit import (
+    Graph,
+    complete,
+    count_induced,
+    count_noninduced,
+    cycle,
+    erdos_renyi,
+    parse_graph,
+    path,
+    rnp_encode_graph,
+    serialize_graph,
+    star,
+    two_triangles,
+    wl_refine,
+)
 from rnpkit.cli import main
 
 
@@ -247,6 +264,99 @@ class TestExperiment:
         assert "theorem1_violations" not in rows[0]
         radii_column = rows[0].index("radii")
         assert rows[1][radii_column] == "2,1"
+
+
+    def test_cross_trial_columns_match_a_rescan(self, tmp_path):
+        # Radius 0 cannot see edges, so encodings collide while counts differ.
+        spec = experiment_spec(
+            tmp_path, generator={"kind": "er", "n": 6, "p": 0.5}, radii=[0], trials=30
+        )
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        earlier = []
+        for row in rows:
+            g = erdos_renyi(6, 0.5, int(row["seed"]))
+            encoding = rnp_encode_graph(g, (0,))
+            counts = (count_induced(g, complete(3)), count_induced(g, path(3)))
+            colors = wl_refine(g)
+            assert row["rnp_distinct"] == str(all(e != encoding for e, _, _ in earlier))
+            assert row["wl_distinct"] == str(all(w != colors for _, _, w in earlier))
+            assert int(row["theorem1_violations"]) == sum(
+                1 for e, c, _ in earlier if e == encoding and c != counts
+            )
+            earlier.append((encoding, counts, colors))
+        assert any(row["theorem1_violations"] != "0" for row in rows)
+        assert any(row["wl_distinct"] == "False" for row in rows)
+
+    @pytest.mark.parametrize("mode", ["induced", "noninduced"])
+    def test_counts_match_oracles_for_mixed_patterns(self, tmp_path, mode):
+        patterns = [
+            complete(3),
+            path(4),
+            Graph.from_edges(3, [(0, 1)]),
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+        ]
+        files = [write_graph(tmp_path, f"h{i}.txt", h) for i, h in enumerate(patterns)]
+        spec = experiment_spec(
+            tmp_path, patterns=files, radii=[2, 1], trials=12, base_seed=40, mode=mode
+        )
+        code, text = run(["experiment", spec])
+        assert code == 0
+        oracle = count_induced if mode == "induced" else count_noninduced
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 12
+        for row in rows:
+            g = erdos_renyi(8, 0.35, int(row["seed"]))
+            got = [int(row[f"count:{f}"]) for f in files]
+            assert got == [oracle(g, h) for h in patterns]
+
+
+class TestExperimentValidation:
+    """Bad specs exit 2 before the CSV header is written."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials": "5"},
+            {"trials": True},
+            {"trials": -1},
+            {"base_seed": 1.5},
+            {"generator": {"kind": "er", "n": 8, "p": "x"}},
+            {"generator": {"kind": "er", "n": 8, "p": 1.5}},
+            {"generator": {"kind": "er", "n": 8, "p": True}},
+            {"generator": {"kind": "er", "n": "8", "p": 0.3}},
+            {"generator": {"kind": "er", "n": 8}},
+            {"generator": {"kind": ["er"], "n": 8, "p": 0.3}},
+            {"generator": {"kind": "regular", "n": 9, "d": 3, "delete": 0}},
+            {"generator": {"kind": "regular", "n": 10, "d": 3, "delete": False}},
+            {"generator": {"kind": "er", "n": 70, "p": 0.3}},
+            {"radii": [True, 1]},
+            {"checks": "theorem1"},
+        ],
+    )
+    def test_rejected_before_output(self, tmp_path, overrides):
+        code, text = run(["experiment", experiment_spec(tmp_path, **overrides)])
+        assert (code, text) == (2, "")
+
+    def test_patterns_must_be_a_list(self, tmp_path, capsys):
+        k3 = write_graph(tmp_path, "k3.txt", complete(3))
+        code, text = run(["experiment", experiment_spec(tmp_path, patterns=k3)])
+        assert (code, text) == (2, "")
+        assert "patterns must be a list" in capsys.readouterr().err
+
+    def test_host_limit_applies_only_with_patterns(self, tmp_path):
+        spec = experiment_spec(
+            tmp_path, generator={"kind": "er", "n": 70, "p": 0.05},
+            patterns=[], radii=[1], trials=1, checks=[],
+        )
+        code, text = run(["experiment", spec])
+        assert code == 0 and text.count("\n") == 2
+
+    def test_oversized_pattern_rejected_before_output(self, tmp_path):
+        big = write_graph(tmp_path, "k9.txt", complete(9))
+        code, text = run(["experiment", experiment_spec(tmp_path, patterns=[big], radii=[1])])
+        assert (code, text) == (2, "")
 
 
 class TestSubprocessDeterminism:

@@ -1,9 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from rnpkit import (
     Graph,
+    PatternCensus,
     UnsupportedSizeError,
     are_isomorphic,
     automorphism_count,
@@ -13,15 +15,17 @@ from rnpkit import (
     count_induced,
     count_noninduced,
     cycle,
+    enumerate_connected_graphs,
     erdos_renyi,
     induced_subgraph,
+    is_connected,
     path,
     permuted,
     star,
     two_triangles,
 )
 
-from conftest import all_graphs, seeded_graph, seeded_permutation
+from conftest import all_graphs, graph_strategy, seeded_graph, seeded_permutation
 
 
 def comb(n, k):
@@ -225,3 +229,74 @@ class TestEdgeSupersetExpansion:
                     for code, c in coefficients.items()
                 )
                 assert count_noninduced(g, h) == expected
+
+
+# Connected patterns go through the census, the rest through the oracles.
+CENSUS_PATTERNS = (
+    list(enumerate_connected_graphs(3))
+    + list(enumerate_connected_graphs(4))
+    + [
+        Graph.from_edges(1),
+        Graph.from_edges(2, [(0, 1)], [0, 1]),  # attributed edge
+        Graph.from_edges(3, [(0, 1), (1, 2)], [1, 0, 1]),  # attributed path
+        path(5),
+        Graph.from_edges(3, [(0, 1)]),  # edge plus an isolated node
+        Graph.from_edges(4, [(0, 1), (2, 3)]),  # two disjoint edges
+        Graph.from_edges(0),
+        complete(6),  # connected, but above the census size
+    ]
+)
+
+
+def _oracle_counts(g, patterns, mode):
+    oracle = count_induced if mode == "induced" else count_noninduced
+    return tuple(oracle(g, h) for h in patterns)
+
+
+class TestPatternCensus:
+    @pytest.mark.parametrize("mode", ["induced", "noninduced"])
+    def test_matches_oracles_on_er_corpus(self, mode):
+        census = PatternCensus(CENSUS_PATTERNS, mode)
+        for seed in range(200):
+            g = erdos_renyi(10, 0.3, seed)
+            assert census.counts(g) == _oracle_counts(g, CENSUS_PATTERNS, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_strategy(max_nodes=7, attributed=True))
+    def test_matches_oracles_on_attributed_hosts(self, g):
+        # Hosts of up to 7 nodes also meet patterns larger than themselves.
+        for mode in ("induced", "noninduced"):
+            census = PatternCensus(CENSUS_PATTERNS, mode)
+            assert census.counts(g) == _oracle_counts(g, CENSUS_PATTERNS, mode)
+
+    def test_pattern_larger_than_host(self):
+        for mode in ("induced", "noninduced"):
+            assert PatternCensus([cycle(4), path(5)], mode).counts(complete(3)) == (0, 0)
+
+    def test_census_visits_each_connected_subset_once(self):
+        from rnpkit.counting import _connected_census
+
+        for seed in range(6):
+            g = seeded_graph(9, 0.3, 400 + seed)
+            for k in range(1, 6):
+                connected = [
+                    s for s in combinations(range(9), k)
+                    if is_connected(induced_subgraph(g, s)[0])
+                ]
+                histogram, reps = _connected_census(g, k)
+                assert sum(histogram.values()) == len(connected)
+                for code, seen in histogram.items():
+                    assert canonical_code(reps[code]) == code
+                    assert seen == count_induced(g, reps[code])
+
+    def test_no_patterns(self):
+        assert PatternCensus([], "induced").counts(Graph.from_edges(70)) == ()
+
+    def test_size_guards_match_oracles(self):
+        with pytest.raises(UnsupportedSizeError, match="pattern has 9 nodes, limit is 8"):
+            PatternCensus([complete(3), complete(9)])
+        census = PatternCensus([complete(3)])
+        with pytest.raises(UnsupportedSizeError, match="host has 65 nodes, limit is 64"):
+            census.counts(Graph.from_edges(65))
+        with pytest.raises(ValueError):
+            PatternCensus([complete(3)], "partial")
