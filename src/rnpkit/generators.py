@@ -48,40 +48,41 @@ def check_regular_parameters(n: int, d: int, deletions: int) -> None:
         raise ValueError("cannot delete more edges than the regular graph has")
 
 
-def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph:
-    """Pairing-model d-regular graph with ``deletions`` random edges removed.
-
-    The pairing model is resampled wholesale until it yields a simple
-    graph, then ``deletions`` distinct edges are deleted uniformly.
-    """
-    check_regular_parameters(n, d, deletions)
-    rng = SplitMix64(seed)
-    pairing = rng.split(0)
-    deleting = rng.split(1)
-    edges: list[tuple[int, int]] = []
+def _pairing_model_edges(n: int, d: int, pairing: SplitMix64) -> list[tuple[int, int]]:
+    """Sorted edges of the first simple graph the pairing model draws."""
     for _ in range(_PAIRING_MAX_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]
         pairing.shuffle(stubs)
         seen: set[tuple[int, int]] = set()
-        simple = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                simple = False
-                break
             e = (min(u, v), max(u, v))
-            if e in seen:
-                simple = False
+            if u == v or e in seen:
                 break
             seen.add(e)
-        if simple:
-            edges = sorted(seen)
-            break
+        else:
+            return sorted(seen)
+    raise RuntimeError(
+        f"pairing model failed to produce a simple {d}-regular graph on "
+        f"{n} nodes after {_PAIRING_MAX_ATTEMPTS} attempts"
+    )
+
+
+def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph:
+    """Pairing-model d-regular graph with ``deletions`` random edges removed.
+
+    The pairing model is resampled wholesale until it yields a simple
+    graph, then ``deletions`` distinct edges are deleted uniformly.  For
+    d = n - 1 the only such graph is K_n, which is built directly: the
+    pairing model would almost never draw it.
+    """
+    check_regular_parameters(n, d, deletions)
+    rng = SplitMix64(seed)
+    if d == n - 1:
+        edges = list(combinations(range(n), 2))
     else:
-        raise RuntimeError(
-            f"pairing model failed to produce a simple {d}-regular graph on "
-            f"{n} nodes after {_PAIRING_MAX_ATTEMPTS} attempts"
-        )
+        edges = _pairing_model_edges(n, d, rng.split(0))
+    deleting = rng.split(1)
     for _ in range(deletions):
         edges.pop(deleting.below(len(edges)))
     return Graph.from_edges(n, edges)

@@ -13,12 +13,16 @@ def _initial_colors(g: Graph) -> list[bytes]:
     ]
 
 
-def _refine_once(g: Graph, colors: list[bytes]) -> list[bytes]:
-    out = []
-    for v in range(g.node_count):
-        neighbor_part = b"".join(sorted(colors[u] for u in bits_of(g.adjacency[v])))
-        out.append(hashlib.sha256(b"wl:" + colors[v] + b"|" + neighbor_part).digest())
-    return out
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    return [list(bits_of(row)) for row in g.adjacency]
+
+
+def _refine_once(neighbors: list[list[int]], colors: list[bytes]) -> list[bytes]:
+    sha256 = hashlib.sha256
+    return [
+        sha256(b"wl:" + colors[v] + b"|" + b"".join(sorted([colors[u] for u in nbrs]))).digest()
+        for v, nbrs in enumerate(neighbors)
+    ]
 
 
 def _partition(colors: list[bytes]) -> tuple[int, ...]:
@@ -37,8 +41,9 @@ def wl_refine(g: Graph) -> dict[str, int]:
     graphs comparable even when their partitions freeze at different times.
     """
     colors = _initial_colors(g)
+    neighbors = _neighbor_lists(g)
     for _ in range(2 * g.node_count):
-        colors = _refine_once(g, colors)
+        colors = _refine_once(neighbors, colors)
     histogram: dict[str, int] = {}
     for c in colors:
         key = c.hex()
@@ -51,10 +56,11 @@ def wl_stabilization_rounds(g: Graph) -> int:
     if g.node_count == 0:
         return 0
     colors = _initial_colors(g)
+    neighbors = _neighbor_lists(g)
     part = _partition(colors)
     rounds = 0
     while True:
-        colors = _refine_once(g, colors)
+        colors = _refine_once(neighbors, colors)
         rounds += 1
         new_part = _partition(colors)
         if new_part == part:

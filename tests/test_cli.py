@@ -3,24 +3,35 @@ import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from rnpkit import (
     Graph,
+    SplitMix64,
+    canonical_code,
     complete,
     count_induced,
     count_noninduced,
     cycle,
+    encoding_digest,
     erdos_renyi,
+    family_covering_sequence,
     parse_graph,
     path,
+    pattern,
+    permuted,
+    random_regular_perturbed,
     rnp_encode_graph,
+    rnp_encode_nodes,
     serialize_graph,
     star,
     two_triangles,
+    update_bound,
     wl_refine,
 )
+from rnpkit import cli
 from rnpkit.cli import main
 
 
@@ -200,6 +211,85 @@ class TestComplexityAndEncode:
         assert len(payload["digest"]) == 64
 
 
+def spec_patterns(spec_path):
+    with open(spec_path, encoding="utf-8") as fh:
+        return json.load(fh)["patterns"]
+
+
+def count_calls(monkeypatch, name):
+    """Record the first argument of every call to ``cli.<name>``."""
+    calls = []
+    original = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def shuffled(n, seed):
+    perm = list(range(n))
+    SplitMix64(seed).shuffle(perm)
+    return perm
+
+
+def recomputed_rows(trials, patterns, spec_path, radii, mode):
+    """Every experiment column, recomputed per trial and by rescanning earlier ones.
+
+    ``trials`` lists (seed, generator label, graph) per trial; every check
+    is on.
+    """
+    oracle = count_induced if mode == "induced" else count_noninduced
+    files = spec_patterns(spec_path)
+    earlier = []
+    rows = []
+    for trial, (seed, label, g) in enumerate(trials):
+        encoding = rnp_encode_graph(g, radii)
+        counts = [oracle(g, h) for h in patterns]
+        colors = wl_refine(g)
+        updates = rnp_encode_nodes(g, radii)[1].invocations
+        bound = update_bound(g, radii)
+        rows.append({
+            "trial": str(trial),
+            "seed": str(seed),
+            "generator": label,
+            "n": str(g.node_count),
+            "radii": ",".join(str(r) for r in radii),
+            **{f"count:{f}": str(c) for f, c in zip(files, counts)},
+            "digest": encoding_digest(encoding)[:16],
+            "updates": str(updates),
+            "bound": str(bound),
+            "rnp_distinct": str(all(e != encoding for e, _, _ in earlier)),
+            "wl_distinct": str(all(w != colors for _, _, w in earlier)),
+            "theorem1_violations": str(
+                sum(1 for e, c, _ in earlier if e == encoding and c != counts)
+            ),
+            "theorem3_ok": str(updates <= bound),
+        })
+        earlier.append((encoding, counts, colors))
+    return rows
+
+
+def rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph.
+
+    Both are strongly regular with parameters (16, 6, 2, 2), so they share
+    their 1-WL key and distance profile; only the rook's graph has a K4.
+    """
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    rook, shrikhande = [], []
+    for (a, b), (c, d) in combinations(cells, 2):
+        edge = (4 * a + b, 4 * c + d)
+        if a == c or b == d:
+            rook.append(edge)
+        if ((c - a) % 4, (d - b) % 4) in steps:
+            shrikhande.append(edge)
+    return Graph.from_edges(16, rook), Graph.from_edges(16, shrikhande)
+
+
 def experiment_spec(tmp_path, **overrides):
     k3 = write_graph(tmp_path, "k3.txt", complete(3))
     p3 = write_graph(tmp_path, "p3.txt", path(3))
@@ -274,20 +364,80 @@ class TestExperiment:
         code, text = run(["experiment", spec])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
-        earlier = []
-        for row in rows:
-            g = erdos_renyi(6, 0.5, int(row["seed"]))
-            encoding = rnp_encode_graph(g, (0,))
-            counts = (count_induced(g, complete(3)), count_induced(g, path(3)))
-            colors = wl_refine(g)
-            assert row["rnp_distinct"] == str(all(e != encoding for e, _, _ in earlier))
-            assert row["wl_distinct"] == str(all(w != colors for _, _, w in earlier))
-            assert int(row["theorem1_violations"]) == sum(
-                1 for e, c, _ in earlier if e == encoding and c != counts
-            )
-            earlier.append((encoding, counts, colors))
+        trials = [(seed, "er(n=6,p=0.5)", erdos_renyi(6, 0.5, seed)) for seed in range(30)]
+        assert rows == recomputed_rows(trials, [complete(3), path(3)], spec, (0,), "induced")
         assert any(row["theorem1_violations"] != "0" for row in rows)
         assert any(row["wl_distinct"] == "False" for row in rows)
+
+    @pytest.mark.parametrize("mode", ["induced", "noninduced"])
+    def test_isomorphic_trials_match_a_recomputation(self, tmp_path, monkeypatch, mode):
+        generator = {"kind": "regular", "n": 8, "d": 3, "delete": 1}
+        spec = experiment_spec(tmp_path, generator=generator, trials=200, mode=mode)
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        label = "regular(n=8,d=3,delete=1)"
+        trials = [(s, label, random_regular_perturbed(8, 3, 1, s)) for s in range(200)]
+        patterns = [complete(3), path(3)]
+        radii = family_covering_sequence(patterns)
+        assert rows == recomputed_rows(trials, patterns, spec, radii, mode)
+        # The spec repeats classes, and some classes share a 1-WL key.
+        classes = {canonical_code(g) for _, _, g in trials}
+        assert len(encoded) == len(classes) < 20
+        assert len(classes) > sum(row["wl_distinct"] == "True" for row in rows)
+
+    @pytest.mark.parametrize("pair", ["figure2", "strongly_regular"])
+    def test_key_collision_is_not_a_hit(self, tmp_path, monkeypatch, pair):
+        # C6 and two triangles share a 1-WL key; the rook's and Shrikhande
+        # graphs share a distance profile too.  Neither pair is isomorphic.
+        if pair == "figure2":
+            a, b = pattern("figure2_pair")
+            patterns = [complete(3), path(3)]
+        else:
+            a, b = rook_and_shrikhande()
+            patterns = [complete(4)]
+        n = a.node_count
+        sequence = [a, b]
+        for i in range(3):
+            sequence.append(permuted(a, shuffled(n, 2 * i)))
+            sequence.append(permuted(b, shuffled(n, 2 * i + 1)))
+        monkeypatch.setattr(cli, "_generate_trial", lambda gen, seed: (sequence[seed], "fixed"))
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        files = [write_graph(tmp_path, f"h{i}.txt", h) for i, h in enumerate(patterns)]
+        spec = experiment_spec(tmp_path, generator={"kind": "er", "n": n, "p": 0.5},
+                               trials=len(sequence), patterns=files)
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        trials = [(seed, "fixed", g) for seed, g in enumerate(sequence)]
+        radii = family_covering_sequence(patterns)
+        assert rows == recomputed_rows(trials, patterns, spec, radii, "induced")
+        columns = ["digest", "updates", "bound"] + [f"count:{f}" for f in files]
+        first, second = ([row[c] for c in columns] for row in rows[:2])
+        assert first[0] != second[0] and first[3:] != second[3:]
+        for i, row in enumerate(rows[2:]):
+            assert [row[c] for c in columns] == (first if i % 2 == 0 else second)
+        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * 7
+        assert [row["rnp_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
+        assert encoded == [a, b]
+
+    def test_regular_classes_are_not_tested_pairwise(self, tmp_path, monkeypatch):
+        # 1-WL gives every 3-regular graph the same key; the distance
+        # profile keeps distinct classes out of each other's buckets.
+        generator = {"kind": "regular", "n": 16, "d": 3, "delete": 0}
+        spec = experiment_spec(tmp_path, generator=generator, trials=60)
+        tested = count_calls(monkeypatch, "are_isomorphic")
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        label = "regular(n=16,d=3,delete=0)"
+        trials = [(s, label, random_regular_perturbed(16, 3, 0, s)) for s in range(60)]
+        patterns = [complete(3), path(3)]
+        radii = family_covering_sequence(patterns)
+        assert rows == recomputed_rows(trials, patterns, spec, radii, "induced")
+        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * 59
+        assert len(tested) < 10
 
     @pytest.mark.parametrize("mode", ["induced", "noninduced"])
     def test_counts_match_oracles_for_mixed_patterns(self, tmp_path, mode):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import prod
 
@@ -20,6 +21,8 @@ from rnpkit import (
     random_regular_perturbed,
     star,
 )
+from rnpkit.generators import _pairing_model_edges
+from rnpkit.rng import SplitMix64
 
 
 class TestErdosRenyi:
@@ -71,6 +74,27 @@ class TestRandomRegular:
             random_regular_perturbed(4, 4, 0, 0)  # degree too large
         with pytest.raises(ValueError):
             random_regular_perturbed(6, 3, 10, 0)  # more deletions than edges
+
+    def test_complete_shortcut_matches_pairing_model(self):
+        # For d = n - 1 the pairing model can only draw K_n; the shortcut
+        # must give the same graph, with deletions from the same stream.
+        for n in (2, 4, 6):
+            for seed in range(10):
+                rng = SplitMix64(seed)
+                drawn = _pairing_model_edges(n, n - 1, rng.split(0))
+                for deletions in range(len(drawn) + 1):
+                    edges = list(drawn)
+                    deleting = rng.split(1)
+                    for _ in range(deletions):
+                        edges.pop(deleting.below(len(edges)))
+                    got = random_regular_perturbed(n, n - 1, deletions, seed)
+                    assert got.edges() == edges
+
+    def test_complete_graph_is_prompt(self):
+        start = time.monotonic()
+        assert random_regular_perturbed(10, 9, 0, 1) == complete(10)
+        assert random_regular_perturbed(10, 9, 5, 1).edge_count == 40
+        assert time.monotonic() - start < 1.0
 
 
 class TestPrimePartite:
