@@ -1,7 +1,7 @@
 """How much work recursive pooling does, against its worst-case bound.
 
 Each node encoding computed in any recursion context counts as one
-update.  With c the largest closed first-radius ball and tau the number
+update, and the counter splits the updates by recursion level.  With c the largest closed first-radius ball and tau the number
 of pooling levels, the update count never exceeds n * c**tau.  On sparse
 graphs c stays small and the encoder is far below the bound; the bound
 is only tight for degenerate inputs like isolated nodes.
@@ -17,6 +17,7 @@ def profile(label, g, radii):
     print(
         f"  {label:28s} updates {counter.invocations:7d}"
         f"   bound {bound:9d}   ratio {ratio:6.3f}"
+        f"   per level {counter.invocations_per_level}"
         f"   level maxima {counter.max_context_per_level}"
     )
 

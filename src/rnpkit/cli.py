@@ -4,6 +4,10 @@ encoding, baseline comparison, and batch experiments.
 Every command is deterministic given its arguments and seeds; rerunning
 produces byte-identical output.  JSON outputs carry a ``schema`` field
 ("rnp-kit/1").  Exit codes: 0 success, 1 internal error, 2 user error.
+Only typed input errors (``UserError``, ``ParseError``,
+``UnsupportedSizeError``) exit 2; commands wrap the ``ValueError`` a
+library call raises for bad user input as ``UserError``, so any other
+exception is a bug and exits 1.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from .generators import (
     prime_partite,
     random_regular_perturbed,
 )
-from .graphs import Graph, all_pairs_shortest_paths, are_isomorphic, parse_graph, serialize_graph
+from .graphs import (
+    Graph,
+    ParseError,
+    UnsupportedSizeError,
+    all_pairs_shortest_paths,
+    are_isomorphic,
+    parse_graph,
+    serialize_graph,
+)
 from .wl import wl_distinguish, wl_refine
 
 SCHEMA = "rnp-kit/1"
@@ -75,34 +87,33 @@ def _write_text(text: str, path: str | None, out) -> None:
 
 
 def _cmd_gen(args, out) -> int:
-    if args.family == "er":
-        graph = erdos_renyi(args.n, args.p, args.seed)
-        _write_text(serialize_graph(graph), args.out, out)
-    elif args.family == "regular":
-        graph = random_regular_perturbed(args.n, args.d, args.delete, args.seed)
-        _write_text(serialize_graph(graph), args.out, out)
-    elif args.family == "prime-partite":
-        try:
-            primes = [int(p) for p in args.primes.split(",")]
-        except ValueError:
-            raise UserError(f"bad primes '{args.primes}'") from None
-        graph = prime_partite(primes, args.n)
-        _write_text(serialize_graph(graph), args.out, out)
-    else:  # pattern
-        result = pattern(args.name, args.size)
-        if isinstance(result, tuple):
-            text = serialize_graph(result[0])
-            text += "# --- second graph ---\n"
-            text += serialize_graph(result[1])
-        else:
-            text = serialize_graph(result)
-        _write_text(text, args.out, out)
+    try:
+        if args.family == "er":
+            graphs = [erdos_renyi(args.n, args.p, args.seed)]
+        elif args.family == "regular":
+            graphs = [random_regular_perturbed(args.n, args.d, args.delete, args.seed)]
+        elif args.family == "prime-partite":
+            try:
+                primes = [int(p) for p in args.primes.split(",")]
+            except ValueError:
+                raise UserError(f"bad primes '{args.primes}'") from None
+            graphs = [prime_partite(primes, args.n)]
+        else:  # pattern
+            result = pattern(args.name, args.size)
+            graphs = list(result) if isinstance(result, tuple) else [result]
+    except ValueError as exc:  # the generators reject infeasible parameters
+        raise UserError(str(exc)) from exc
+    text = "# --- second graph ---\n".join(serialize_graph(g) for g in graphs)
+    _write_text(text, args.out, out)
     return 0
 
 
 def _cmd_cover(args, out) -> int:
     graph = _load_graph(args.graph)
-    radii, order = min_r1_covering_sequence(graph)
+    try:
+        radii, order = min_r1_covering_sequence(graph)
+    except ValueError as exc:  # too small, disconnected or too large
+        raise UserError(f"{args.graph}: {exc}") from exc
     valid = is_vertex_covering_sequence(graph, order, radii)
     _emit_json(
         {
@@ -288,7 +299,12 @@ def _cmd_experiment(args, out) -> int:
     if spec["radii"] == "auto":
         if not patterns:
             raise UserError("radii 'auto' requires at least one pattern")
-        radii = family_covering_sequence(patterns)
+        try:
+            radii = family_covering_sequence(patterns)
+        except ValueError as exc:  # a disconnected or oversized pattern
+            raise UserError(f"radii 'auto': {exc}") from exc
+        if not radii:
+            raise UserError("radii 'auto' requires a pattern with at least 2 nodes")
     elif isinstance(spec["radii"], list) and all(
         _is_count(r) for r in spec["radii"]
     ) and spec["radii"]:
@@ -435,11 +451,11 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _DISPATCH[args.command](args, out)
-    except (UserError, ValueError) as exc:
+    except (UserError, ParseError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, ball_mask, bits_of, neighborhood
+from .graphs import Graph, ball_mask, bits_of
 
 Encoding = bytes
 
@@ -58,11 +58,13 @@ class UpdateCounter:
 
     ``invocations`` counts one tick per (node, recursion context) pair,
     top level included.  ``max_context_per_level`` records the largest
-    context graph seen at each recursion depth.
+    context graph seen at each recursion depth, and
+    ``invocations_per_level`` splits ``invocations`` by depth.
     """
 
     invocations: int
     max_context_per_level: tuple[int, ...]
+    invocations_per_level: tuple[int, ...]
 
 
 def _check_radii(radii: Sequence[int]) -> tuple[int, ...]:
@@ -75,16 +77,26 @@ def _check_radii(radii: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Stats:
-    __slots__ = ("invocations", "level_max")
+    __slots__ = ("level_invocations", "level_max")
 
     def __init__(self, levels: int):
-        self.invocations = 0
+        self.level_invocations = [0] * levels
         self.level_max = [0] * levels
 
     def enter_context(self, depth: int, size: int) -> None:
-        self.invocations += size
+        self.level_invocations[depth] += size
         if size > self.level_max[depth]:
             self.level_max[depth] = size
+
+
+class _BitTable(dict):
+    """Mask -> its set bit positions in ascending order, filled on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> list[int]:
+        bits = self[mask] = list(bits_of(mask))
+        return bits
 
 
 def _encode_context(
@@ -94,29 +106,57 @@ def _encode_context(
     radii: tuple[int, ...],
     depth: int,
     stats: _Stats,
+    bits: _BitTable,
 ) -> dict[int, Encoding]:
+    """Encode each member of the context ``ctx_mask``.
+
+    ``features`` holds exactly the members' values.  Each child value is
+    built as ``marked(features[u], flag)`` and each result as
+    ``node(features[v], children)``, written out inline.
+    """
     stats.enter_context(depth, ctx_mask.bit_count())
     r1 = radii[0]
     tail = radii[1:]
+    # Screened members adjacent to v ("near") carry flag 1, the rest of the
+    # ball ("far") flag 0.  A radius-1 ball is v's neighbours in the
+    # context, so it needs no BFS and no flag-0 marks.
+    near_marks = {u: b"M1" + f for u, f in features.items()}
+    far_marks = {u: b"M0" + f for u, f in features.items()} if r1 > 1 else {}
     out: dict[int, Encoding] = {}
-    for v in bits_of(ctx_mask):
-        screened = ball_mask(adjacency, ctx_mask, v, r1) & ~(1 << v)
+    for v in bits[ctx_mask]:
         adj_v = adjacency[v]
+        if r1 == 1:
+            near = adj_v & ctx_mask
+            far = 0
+        else:
+            ball = frontier = 1 << v
+            for _ in range(r1):
+                grown = 0
+                for u in bits[frontier]:
+                    grown |= adjacency[u]
+                frontier = grown & ctx_mask & ~ball
+                if not frontier:
+                    break
+                ball |= frontier
+            near = ball & adj_v
+            far = ball ^ near ^ (1 << v)
         if not tail:
-            children = [
-                marked(features[u], (adj_v >> u) & 1) for u in bits_of(screened)
-            ]
-        elif screened:
-            tagged = {
-                u: marked(features[u], (adj_v >> u) & 1) for u in bits_of(screened)
-            }
+            children = [near_marks[u] for u in bits[near]]
+            if far:
+                children += [far_marks[u] for u in bits[far]]
+        elif near or far:
+            tagged = {u: near_marks[u] for u in bits[near]}
+            if far:
+                tagged.update({u: far_marks[u] for u in bits[far]})
             children = list(
-                _encode_context(adjacency, screened, tagged, tail, depth + 1, stats)
-                .values()
+                _encode_context(
+                    adjacency, near | far, tagged, tail, depth + 1, stats, bits
+                ).values()
             )
         else:
             children = []
-        out[v] = node(features[v], children)
+        children.sort()
+        out[v] = b"N" + features[v] + b"[" + b"".join(children) + b"]"
     return out
 
 
@@ -142,8 +182,14 @@ def rnp_encode_nodes(
     if g.node_count == 0:
         encodings: dict[int, Encoding] = {}
     else:
-        encodings = _encode_context(g.adjacency, full, feats, radii, 0, stats)
-    counter = UpdateCounter(stats.invocations, tuple(stats.level_max))
+        encodings = _encode_context(
+            g.adjacency, full, feats, radii, 0, stats, _BitTable()
+        )
+    counter = UpdateCounter(
+        sum(stats.level_invocations),
+        tuple(stats.level_max),
+        tuple(stats.level_invocations),
+    )
     return encodings, counter
 
 
@@ -164,5 +210,6 @@ def update_bound(g: Graph, radii: Sequence[int]) -> int:
     n = g.node_count
     if n == 0:
         return 0
-    c = max(len(neighborhood(g, v, radii[0])) for v in range(n))
+    full = (1 << n) - 1
+    c = max(ball_mask(g.adjacency, full, v, radii[0]).bit_count() for v in range(n))
     return n * c ** len(radii)

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+import rnpkit
 from rnpkit import Graph, SplitMix64, erdos_renyi
+
+_SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
+
+
+def cli_env(hash_seed: str) -> dict[str, str]:
+    """Environment for a ``python -m rnpkit.cli`` child process.
+
+    The absolute source directory goes first on PYTHONPATH, so the child
+    imports the package under test from any working directory, whatever
+    (possibly relative) PYTHONPATH the test run itself was given.
+    """
+    python_path = os.pathsep.join(
+        part for part in (_SOURCE_DIR, os.environ.get("PYTHONPATH")) if part
+    )
+    return {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path}
 
 
 def seeded_graph(n: int, p: float, seed: int) -> Graph:

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v``.  Every criterion is exact
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -13,7 +12,6 @@ from collections import defaultdict
 from itertools import combinations
 from math import comb, prod
 
-import rnpkit
 from rnpkit import (
     SplitMix64,
     admits,
@@ -40,6 +38,8 @@ from rnpkit import (
     update_bound,
     wl_distinguish,
 )
+
+from conftest import cli_env
 
 
 def _report(capsys, label: str, ok: bool, started: float, limit: float, detail: str = ""):
@@ -246,18 +246,12 @@ def test_criterion_8_oracle_cross_validation(capsys):
 
 # The package's parent directory, absolute, so that the child process
 # imports this rnpkit whatever its working directory and PYTHONPATH.
-_SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
-
-
 def _run_cli(args, cwd, hash_seed):
-    python_path = os.pathsep.join(
-        part for part in (_SOURCE_DIR, os.environ.get("PYTHONPATH")) if part
-    )
     return subprocess.run(
         [sys.executable, "-m", "rnpkit.cli", *args],
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path},
+        env=cli_env(hash_seed),
     )
 
 

@@ -34,6 +34,8 @@ from rnpkit import (
 from rnpkit import cli
 from rnpkit.cli import main
 
+from conftest import cli_env
+
 
 def run(argv):
     out = io.StringIO()
@@ -508,16 +510,46 @@ class TestExperimentValidation:
         code, text = run(["experiment", experiment_spec(tmp_path, patterns=[big], radii=[1])])
         assert (code, text) == (2, "")
 
+    def test_auto_radii_from_single_node_patterns_rejected_before_output(self, tmp_path):
+        k1 = write_graph(tmp_path, "k1.txt", complete(1))
+        code, text = run(["experiment", experiment_spec(tmp_path, patterns=[k1])])
+        assert (code, text) == (2, "")
+
+
+class TestExitCodes:
+    def test_library_value_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("broken encoder")
+
+        monkeypatch.setattr(cli, "rnp_encode_nodes", broken)
+        g = write_graph(tmp_path, "k3.txt", complete(3))
+        code, text = run(["encode", g, "--radii", "1"])
+        assert (code, text) == (1, "")
+        assert "internal error: ValueError: broken encoder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "er", "--n", "5", "--p", "1.5", "--seed", "1"],
+            ["gen", "regular", "--n", "9", "--d", "3", "--seed", "1"],
+            ["gen", "prime-partite", "--primes", "4,3", "--n", "10"],
+            ["gen", "pattern", "--name", "complete", "--size", "0"],
+        ],
+    )
+    def test_infeasible_generator_parameters_are_user_errors(self, argv):
+        assert run(argv) == (2, "")
+
+    def test_disconnected_auto_pattern_is_user_error(self, tmp_path):
+        tt = write_graph(tmp_path, "tt.txt", two_triangles())
+        code, text = run(["experiment", experiment_spec(tmp_path, patterns=[tt])])
+        assert (code, text) == (2, "")
+
 
 class TestSubprocessDeterminism:
     def test_gen_bytes_identical_across_processes(self):
-        import os
-
         cmd = [sys.executable, "-m", "rnpkit.cli", "gen", "er",
                "--n", "12", "--p", "0.4", "--seed", "13"]
-        a = subprocess.run(cmd, capture_output=True,
-                           env={**os.environ, "PYTHONHASHSEED": "1"})
-        b = subprocess.run(cmd, capture_output=True,
-                           env={**os.environ, "PYTHONHASHSEED": "2"})
+        a = subprocess.run(cmd, capture_output=True, env=cli_env("1"))
+        b = subprocess.run(cmd, capture_output=True, env=cli_env("2"))
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

@@ -1,3 +1,4 @@
+import hashlib
 from collections import defaultdict
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from rnpkit import (
     Graph,
     SplitMix64,
+    UpdateCounter,
     complete,
     count_all_patterns,
     cycle,
@@ -150,6 +152,12 @@ class TestUpdateCounting:
     def test_k4_bound_value(self):
         assert update_bound(complete(4), (1, 1)) == 64
 
+    def test_k4_invocations_per_level(self):
+        # 4 top-level updates, then 4 contexts of the 3 other nodes
+        _, counter = rnp_encode_nodes(complete(4), (1, 1))
+        assert counter.invocations_per_level == (4, 12)
+        assert counter.invocations == 16
+
     def test_cycle_bound_value(self):
         # closed radius-2 ball on a 6-cycle has 5 nodes
         assert update_bound(cycle(6), (2, 1)) == 150
@@ -162,6 +170,8 @@ class TestUpdateCounting:
             radii = RADII_POOL[rng.below(len(RADII_POOL))]
             _, counter = rnp_encode_nodes(g, radii)
             assert counter.invocations <= update_bound(g, radii)
+            assert len(counter.invocations_per_level) == len(radii)
+            assert sum(counter.invocations_per_level) == counter.invocations
 
     def test_context_sizes_shrink_for_nonincreasing_radii(self):
         rng = SplitMix64(4321)
@@ -175,8 +185,13 @@ class TestUpdateCounting:
                 assert all(a >= b for a, b in zip(observed, observed[1:]))
 
 
-def reference_encode(members, g, feats, radii):
-    """Slow set-based reference of the recursive pooling procedure."""
+def reference_encode(members, g, feats, radii, contexts=None, depth=0):
+    """Slow set-based reference of the recursive pooling procedure.
+
+    When given, ``contexts`` collects the size of every context by depth.
+    """
+    if contexts is not None:
+        contexts.setdefault(depth, []).append(len(members))
     r1, tail = radii[0], radii[1:]
     out = {}
     for v in members:
@@ -192,11 +207,29 @@ def reference_encode(members, g, feats, radii):
         if not tail:
             children = list(tagged.values())
         elif screened:
-            children = list(reference_encode(screened, g, tagged, tail).values())
+            children = list(
+                reference_encode(screened, g, tagged, tail, contexts, depth + 1).values()
+            )
         else:
             children = []
         out[v] = node(feats[v], children)
     return out
+
+
+def reference_counter(contexts, levels):
+    per_level = [contexts.get(depth, []) for depth in range(levels)]
+    return UpdateCounter(
+        sum(map(sum, per_level)),
+        tuple(max(sizes, default=0) for sizes in per_level),
+        tuple(map(sum, per_level)),
+    )
+
+
+# Radius-0 levels, last radii of 2 or more, and up to four levels.
+REFERENCE_RADII = RADII_POOL + [
+    (0,), (3,), (0, 1), (1, 0), (1, 3), (2, 0, 2), (3, 2, 1), (2, 2, 2, 1), (1, 2, 0, 2),
+    (2, 2, 1, 2),
+]
 
 
 class TestAgainstReference:
@@ -211,6 +244,45 @@ class TestAgainstReference:
             )
             actual, _ = rnp_encode_nodes(g, radii)
             assert actual == expected
+
+    def test_matches_reference_on_attributed_graphs_and_custom_features(self):
+        rng = SplitMix64(404)
+        for trial in range(4 * len(REFERENCE_RADII)):
+            radii = REFERENCE_RADII[trial % len(REFERENCE_RADII)]
+            n = 1 + rng.below(16)
+            base = erdos_renyi(n, 0.15 + 0.35 * rng.random(), rng.next_u64())
+            g = Graph(n, base.adjacency, tuple(rng.below(3) for _ in range(n)))
+            if trial % 2:
+                custom = None
+                feats = {v: leaf(g.attributes[v]) for v in range(n)}
+            else:
+                custom = {
+                    v: node(leaf(g.attributes[v]), [leaf(rng.below(3))] * rng.below(3))
+                    for v in range(n)
+                }
+                feats = custom
+            contexts = {}
+            expected = reference_encode(set(range(n)), g, feats, radii, contexts)
+            actual, counter = rnp_encode_nodes(g, radii, features=custom)
+            assert actual == expected
+            assert counter == reference_counter(contexts, len(radii))
+
+    def test_benchmark_encodings_pinned(self):
+        # A faster encoder must reproduce the encodings byte for byte and
+        # the work counter exactly: the digest of the whole-graph
+        # encodings of the 100 ER graphs a seed-1 census_er14 benchmark
+        # run draws, under the radii (3, 2, 1) its patterns need.
+        digest = hashlib.sha256()
+        invocations = 0
+        for t in range(100):
+            g = erdos_renyi(14, 0.3, 1_000_000 + t)
+            encodings, counter = rnp_encode_nodes(g, (3, 2, 1))
+            digest.update(graph_readout(encodings.values()))
+            invocations += counter.invocations
+        assert digest.hexdigest() == (
+            "6f9ce0280580da69a33fea6d5c24f69ff9e66dbda85e0e93c4458764dbe40433"
+        )
+        assert invocations == 177_914
 
 
 class TestCountRefinement:
