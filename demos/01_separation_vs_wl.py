@@ -30,9 +30,10 @@ def main() -> None:
     print("  6-cycle:        ", count_induced(hexagon, complete(3)))
     print("  two triangles:  ", count_induced(triangles, complete(3)))
 
-    print("\n1-WL stable color histograms:")
-    print("  6-cycle:        ", wl_refine(hexagon))
-    print("  two triangles:  ", wl_refine(triangles))
+    print("\n1-WL stable colors per node, and the refinement certificate:")
+    for name, g in [("6-cycle", hexagon), ("two triangles", triangles)]:
+        certificate, colors = wl_refine(g)
+        print(f"  {name:15s} colors {colors}  certificate {certificate}")
     print("  separated by 1-WL?", wl_distinguish(hexagon, triangles))
 
     print("\nRecursive pooling, one level (radii (1,)):")

@@ -29,8 +29,10 @@ def main() -> None:
     for p in (0.05, 0.10, 0.20, 0.40):
         profile(f"random n=24, p={p}", erdos_renyi(24, p, 1), radii)
 
-    print("\nDenser graphs grow the first-radius ball c, and the bound grows")
-    print("like c**3, so the observed ratio falls even as the work rises.")
+    print("\nDenser graphs grow the first-radius ball c, and the bound n * c**3")
+    print("with it, until c reaches n: there the bound saturates at n * n**3")
+    print(f"(= {24 * 24**3} for n=24) while the work keeps growing, so the ratio")
+    print("first falls and then rises again.")
 
     print("\nContexts shrink strictly with depth (each screened neighborhood")
     print("is a subset of its parent minus the removed node), visible in the")

@@ -301,10 +301,8 @@ def _cmd_experiment(args, out) -> int:
             raise UserError("radii 'auto' requires at least one pattern")
         try:
             radii = family_covering_sequence(patterns)
-        except ValueError as exc:  # a disconnected or oversized pattern
+        except ValueError as exc:  # disconnected, oversized or all single-node
             raise UserError(f"radii 'auto': {exc}") from exc
-        if not radii:
-            raise UserError("radii 'auto' requires a pattern with at least 2 nodes")
     elif isinstance(spec["radii"], list) and all(
         _is_count(r) for r in spec["radii"]
     ) and spec["radii"]:
@@ -327,21 +325,25 @@ def _cmd_experiment(args, out) -> int:
     # Earlier trials, grouped exactly: encoding -> {count vector: trials}.
     trials_by_encoding: dict[bytes, dict[tuple[int, ...], int]] = {}
     # Isomorphism classes seen so far, each with its computed columns, in
-    # buckets keyed by 1-WL key and then distance profile.  Every column is
-    # an isomorphism invariant, so a graph isomorphic to a representative
-    # reuses that class's columns.  The keys only pick the bucket
-    # (isomorphic graphs always share both); a hit needs an exact
-    # isomorphism test.
-    classes: dict[str, dict[tuple, list[tuple[Graph, tuple]]]] = {}
+    # buckets keyed by 1-WL certificate and then distance profile.  Every
+    # column is an isomorphism invariant, so a graph isomorphic to a
+    # representative reuses that class's columns.  The keys only pick the
+    # bucket (isomorphic graphs always share both); a hit needs an exact
+    # isomorphism test.  Representatives carry their stable 1-WL colors as
+    # attributes: a bucket shares one certificate, hence one color naming,
+    # and isomorphisms preserve those colors (and, through them, the
+    # original attributes), so the test only pairs nodes of equal color.
+    classes: dict[tuple, dict[tuple, list[tuple[Graph, tuple]]]] = {}
     radii_text = ",".join(str(r) for r in radii)
     for trial in range(spec["trials"]):
         seed = spec["base_seed"] + trial
         graph, label = _generate_trial(spec["generator"], seed)
-        wl_key = json.dumps(wl_refine(graph), sort_keys=True)
-        by_profile = classes.setdefault(wl_key, {})
+        certificate, colors = wl_refine(graph)
+        by_profile = classes.setdefault(certificate, {})
         wl_distinct = not by_profile
         bucket = by_profile.setdefault(_distance_profile(graph), [])
-        columns = next((c for rep, c in bucket if are_isomorphic(rep, graph)), None)
+        colored = Graph(graph.node_count, graph.adjacency, colors)
+        columns = next((c for rep, c in bucket if are_isomorphic(rep, colored)), None)
         if columns is None:
             counts = census.counts(graph)
             encodings, counter = rnp_encode_nodes(graph, radii)
@@ -353,7 +355,7 @@ def _cmd_experiment(args, out) -> int:
                 counter.invocations,
                 update_bound(graph, radii),
             )
-            bucket.append((graph, columns))
+            bucket.append((colored, columns))
         counts, encoding, digest, updates, bound = columns
         same_encoding = trials_by_encoding.setdefault(encoding, {})
         row = [

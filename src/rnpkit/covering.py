@@ -241,6 +241,8 @@ def family_covering_sequence(patterns: Sequence[Graph]) -> tuple[int, ...]:
         else:
             sequences.append(min_r1_covering_sequence(p)[0])
     length = max(len(s) for s in sequences)
+    if not length:
+        raise ValueError("pattern family needs a pattern with at least 2 nodes")
     return tuple(
         max((s[i] if i < len(s) else 0) for s in sequences) for i in range(length)
     )

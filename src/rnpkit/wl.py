@@ -1,73 +1,96 @@
-"""1-WL color refinement, the message-passing expressiveness baseline."""
+"""1-WL color refinement, the message-passing expressiveness baseline.
+
+Refinement is exact and hash-free.  Round 0 colors are the node
+attributes.  In each later round a node's key is (own color, sorted
+neighbor colors), and its new color is the rank of that key among the
+round's sorted distinct keys.  Refinement stops after the first round
+that splits no class (Cardon & Crochemore 1982; Berkholz, Bonsma & Grohe
+2013): with t the first round whose partition the next round keeps, that
+is t + 1 <= n rounds.
+
+The certificate is one flat, self-delimiting tuple of ints: n, the sorted
+attributes, then for each round the number of distinct keys followed by
+each key's (count, length, key ints) in sorted key order.
+
+Why comparing certificates is 1-WL.  Let the true color of a node at
+round s be its full refinement tree to depth s (what a collision-free
+hash of (color, sorted neighbor colors), iterated, would name).  The true
+color at round s + 1 determines the one at round s, so for two graphs
+with equal n, equal true-color histograms after 2n rounds is the same as
+equal histograms at every round up to 2n.  Then, for graphs G and H:
+
+1. If their certificates agree up to round s, one injective map sends
+   the true round-s colors of both graphs to their ranks.  At round 0 the
+   ranks are the attributes themselves.  At round s + 1 the keys are
+   therefore equal exactly when the true colors are, so the round's part
+   of the certificate lists the true-color histogram; equal parts give
+   equal sorted key lists and hence one shared rank map again.  So the
+   certificates agree up to round s iff the true histograms agree at
+   every round up to s.  Each graph's stopping round is read off the
+   agreed prefix (class counts of two successive rounds), so graphs with
+   equal prefixes stop together, and t + 1 <= n <= 2n.
+2. Once neither graph splits a class after round t, a node's true color
+   at round t + 1 is a function of its color at round t, and since the
+   round-(t + 1) histograms agree, a color present at round t has the same
+   neighbor multiset in both graphs.  By induction every later true color
+   is one common function of the round-t color, so equal round-(t + 1)
+   histograms stay equal at every later round.
+
+Hence equal certificates iff equal 2n-round histograms.  Within a set of
+graphs sharing a certificate the stable ranks name the same true colors,
+and isomorphisms preserve them.
+"""
 
 from __future__ import annotations
 
-import hashlib
+from collections import Counter
 
 from .graphs import Graph, bits_of
 
 
-def _initial_colors(g: Graph) -> list[bytes]:
-    return [
-        hashlib.sha256(b"wl0:%d" % a).digest() for a in g.attributes
-    ]
+def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(certificate, stable colors, rounds run) of exact color refinement."""
+    neighbors = [list(bits_of(row)) for row in g.adjacency]
+    colors = list(g.attributes)
+    certificate = [g.node_count, *sorted(colors)]
+    classes = len(set(colors))
+    rounds = 0
+    while True:
+        rounds += 1
+        keys = [
+            (colors[v], *sorted([colors[u] for u in nbrs]))
+            for v, nbrs in enumerate(neighbors)
+        ]
+        counts = Counter(keys)
+        ranks = {}
+        certificate.append(len(counts))
+        for key in sorted(counts):
+            ranks[key] = len(ranks)
+            certificate += (counts[key], len(key), *key)
+        colors = [ranks[key] for key in keys]
+        if len(counts) == classes:
+            return tuple(certificate), tuple(colors), rounds
+        classes = len(counts)
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [list(bits_of(row)) for row in g.adjacency]
+def wl_refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(certificate, stable colors) of 1-WL refinement.
 
-
-def _refine_once(neighbors: list[list[int]], colors: list[bytes]) -> list[bytes]:
-    sha256 = hashlib.sha256
-    return [
-        sha256(b"wl:" + colors[v] + b"|" + b"".join(sorted([colors[u] for u in nbrs]))).digest()
-        for v, nbrs in enumerate(neighbors)
-    ]
-
-
-def _partition(colors: list[bytes]) -> tuple[int, ...]:
-    # class index per node, numbered by first appearance
-    seen: dict[bytes, int] = {}
-    return tuple(seen.setdefault(c, len(seen)) for c in colors)
-
-
-def wl_refine(g: Graph) -> dict[str, int]:
-    """Stable color histogram with canonical, cross-graph comparable ids.
-
-    Colors are digests of their full derivation, so two nodes (in any two
-    graphs) get the same id iff their refinement trees agree to the same
-    depth.  Refinement runs for 2n rounds: the partition itself stabilizes
-    within n rounds, but the extra rounds keep histograms of two n-node
-    graphs comparable even when their partitions freeze at different times.
+    Two graphs get equal certificates iff 1-WL cannot tell them apart.
+    Stable colors are ranks; they are comparable across graphs that share
+    a certificate.
     """
-    colors = _initial_colors(g)
-    neighbors = _neighbor_lists(g)
-    for _ in range(2 * g.node_count):
-        colors = _refine_once(neighbors, colors)
-    histogram: dict[str, int] = {}
-    for c in colors:
-        key = c.hex()
-        histogram[key] = histogram.get(key, 0) + 1
-    return histogram
+    certificate, colors, _ = _refine(g)
+    return certificate, colors
 
 
 def wl_stabilization_rounds(g: Graph) -> int:
     """Rounds until the induced partition stops refining (at most n)."""
     if g.node_count == 0:
         return 0
-    colors = _initial_colors(g)
-    neighbors = _neighbor_lists(g)
-    part = _partition(colors)
-    rounds = 0
-    while True:
-        colors = _refine_once(neighbors, colors)
-        rounds += 1
-        new_part = _partition(colors)
-        if new_part == part:
-            return rounds
-        part = new_part
+    return _refine(g)[2]
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> bool:
     """True iff 1-WL refinement separates the two graphs."""
-    return wl_refine(g1) != wl_refine(g2)
+    return wl_refine(g1)[0] != wl_refine(g2)[0]

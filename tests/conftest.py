@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import rnpkit
 from rnpkit import Graph, SplitMix64, erdos_renyi
+from rnpkit.graphs import bits_of
 
 _SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
 
@@ -76,3 +78,51 @@ def graph_strategy(draw, min_nodes: int = 0, max_nodes: int = 7, attributed: boo
     else:
         attrs = (0,) * n
     return Graph(n, tuple(rows), attrs)
+
+
+def _reference_wl_rounds(g: Graph):
+    """Yield sha256-named 1-WL colors per round, round 0 first, forever."""
+    sha256 = hashlib.sha256
+    neighbors = [list(bits_of(row)) for row in g.adjacency]
+    colors = [sha256(b"wl0:%d" % a).digest() for a in g.attributes]
+    while True:
+        yield colors
+        colors = [
+            sha256(b"wl:" + colors[v] + b"|" + b"".join(sorted([colors[u] for u in nbrs]))).digest()
+            for v, nbrs in enumerate(neighbors)
+        ]
+
+
+def reference_wl_histogram(g: Graph) -> dict[str, int]:
+    """1-WL oracle: histogram of sha256-named colors after 2n rounds.
+
+    A color is the digest of its full derivation, so two nodes in any two
+    graphs share it iff their refinement trees agree to that depth; 2n
+    rounds keep histograms of two n-node graphs comparable however late
+    their partitions freeze.
+    """
+    rounds = _reference_wl_rounds(g)
+    for _ in range(2 * g.node_count + 1):
+        colors = next(rounds)
+    histogram: dict[str, int] = {}
+    for c in colors:
+        histogram[c.hex()] = histogram.get(c.hex(), 0) + 1
+    return histogram
+
+
+def _partition(colors: list[bytes]) -> tuple[int, ...]:
+    # class index per node, numbered by first appearance
+    seen: dict[bytes, int] = {}
+    return tuple(seen.setdefault(c, len(seen)) for c in colors)
+
+
+def reference_wl_stabilization_rounds(g: Graph) -> int:
+    """Oracle rounds until the sha256 colors' partition stops refining."""
+    if g.node_count == 0:
+        return 0
+    partitions = (_partition(colors) for colors in _reference_wl_rounds(g))
+    part = next(partitions)
+    for rounds, new_part in enumerate(partitions, start=1):
+        if new_part == part:
+            return rounds
+        part = new_part

@@ -29,12 +29,11 @@ from rnpkit import (
     star,
     two_triangles,
     update_bound,
-    wl_refine,
 )
 from rnpkit import cli
 from rnpkit.cli import main
 
-from conftest import cli_env
+from conftest import cli_env, reference_wl_histogram
 
 
 def run(argv):
@@ -250,7 +249,7 @@ def recomputed_rows(trials, patterns, spec_path, radii, mode):
     for trial, (seed, label, g) in enumerate(trials):
         encoding = rnp_encode_graph(g, radii)
         counts = [oracle(g, h) for h in patterns]
-        colors = wl_refine(g)
+        histogram = reference_wl_histogram(g)
         updates = rnp_encode_nodes(g, radii)[1].invocations
         bound = update_bound(g, radii)
         rows.append({
@@ -264,13 +263,13 @@ def recomputed_rows(trials, patterns, spec_path, radii, mode):
             "updates": str(updates),
             "bound": str(bound),
             "rnp_distinct": str(all(e != encoding for e, _, _ in earlier)),
-            "wl_distinct": str(all(w != colors for _, _, w in earlier)),
+            "wl_distinct": str(all(w != histogram for _, _, w in earlier)),
             "theorem1_violations": str(
                 sum(1 for e, c, _ in earlier if e == encoding and c != counts)
             ),
             "theorem3_ok": str(updates <= bound),
         })
-        earlier.append((encoding, counts, colors))
+        earlier.append((encoding, counts, histogram))
     return rows
 
 

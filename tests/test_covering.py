@@ -200,6 +200,11 @@ class TestFamilySequence:
         with pytest.raises(ValueError):
             family_covering_sequence([])
 
+    def test_rejects_single_node_patterns_only(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            family_covering_sequence([complete(1), complete(1)])
+        assert family_covering_sequence([complete(1), complete(2)]) == (1,)
+
 
 class TestMonotonicity:
     def test_coordinatewise_increase_preserves_admission(self):

@@ -1,6 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnpkit import (
     Graph,
@@ -18,22 +23,84 @@ from rnpkit import (
     wl_refine,
     wl_stabilization_rounds,
 )
-from rnpkit.wl import _initial_colors, _neighbor_lists, _partition, _refine_once
 
-from conftest import seeded_graph, seeded_permutation
+from conftest import (
+    all_graphs,
+    graph_strategy,
+    reference_wl_histogram,
+    reference_wl_stabilization_rounds,
+    seeded_graph,
+    seeded_permutation,
+)
+
+
+def certificate_rounds(certificate):
+    """Parse a certificate into n, sorted attributes and per-round histograms.
+
+    Each round is a list of (count, key) in sorted key order; parsing must
+    consume the certificate exactly.
+    """
+    n = certificate[0]
+    attributes = list(certificate[1 : 1 + n])
+    i = 1 + n
+    rounds = []
+    while i < len(certificate):
+        distinct = certificate[i]
+        i += 1
+        histogram = []
+        for _ in range(distinct):
+            count, length = certificate[i], certificate[i + 1]
+            histogram.append((count, tuple(certificate[i + 2 : i + 2 + length])))
+            i += 2 + length
+        rounds.append(histogram)
+    assert i == len(certificate)
+    return n, attributes, rounds
+
+
+def assert_certificates_match_oracle(graphs, oracle=None):
+    """Certificate equality iff oracle-histogram equality, on every pair.
+
+    Grouping the graphs by each key and comparing the two partitions is
+    the pairwise check without the quadratic loop.
+    """
+    if oracle is None:
+        oracle = [reference_wl_histogram(g) for g in graphs]
+    by_certificate: dict = {}
+    by_oracle: dict = {}
+    for i, (g, histogram) in enumerate(zip(graphs, oracle)):
+        by_certificate.setdefault(wl_refine(g)[0], []).append(i)
+        by_oracle.setdefault(json.dumps(histogram, sort_keys=True), []).append(i)
+    assert sorted(by_certificate.values()) == sorted(by_oracle.values())
+
+
+@pytest.fixture(scope="module")
+def benchmark_corpus():
+    """The 100 ER and 2,000 perturbed-regular graphs of a seed-1 benchmark
+    run, with their oracle histograms."""
+    graphs = [erdos_renyi(14, 0.3, 1_000_000 + t) for t in range(100)]
+    graphs += [random_regular_perturbed(10, 3, 1, 1_000_000 + t) for t in range(2000)]
+    return graphs, [reference_wl_histogram(g) for g in graphs]
+
+
+def small_graphs():
+    """Every connected graph on 1-6 nodes and every labelled graph on 0-4."""
+    graphs = [g for k in range(1, 7) for g in enumerate_connected_graphs(k)]
+    graphs += [g for k in range(5) for g in all_graphs(k)]
+    return graphs
 
 
 class TestRefinement:
     def test_cycle_is_monochrome(self):
-        hist = wl_refine(cycle(6))
-        assert list(hist.values()) == [6]
+        _, colors = wl_refine(cycle(6))
+        assert colors == (0,) * 6
 
     def test_two_triangles_match_cycle(self):
         assert wl_refine(two_triangles()) == wl_refine(cycle(6))
 
     def test_path_splits_center(self):
-        hist = wl_refine(path(3))
-        assert sorted(hist.values()) == [1, 2]
+        _, colors = wl_refine(path(3))
+        assert sorted(Counter(colors).values()) == [1, 2]
+        assert colors[0] == colors[2] != colors[1]
 
     def test_attributes_seed_colors(self):
         plain = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -42,7 +109,13 @@ class TestRefinement:
 
     def test_histogram_total_is_node_count(self):
         g = seeded_graph(9, 0.4, 2)
-        assert sum(wl_refine(g).values()) == 9
+        certificate, colors = wl_refine(g)
+        assert len(colors) == 9
+        n, attributes, rounds = certificate_rounds(certificate)
+        assert (n, len(attributes)) == (9, 9)
+        for histogram in rounds:
+            assert sum(count for count, _ in histogram) == 9
+        assert sorted(Counter(colors).values()) == sorted(c for c, _ in rounds[-1])
 
     def test_stabilizes_within_node_count_rounds(self):
         graphs = [cycle(6), path(7), two_triangles(), seeded_graph(10, 0.3, 5)]
@@ -51,29 +124,68 @@ class TestRefinement:
             assert wl_stabilization_rounds(g) <= max(1, g.node_count)
 
     def test_partition_never_coarsens(self):
+        # class counts rise every round until the last, which splits nothing
         for seed in range(10):
             g = seeded_graph(9, 0.35, 50 + seed)
-            colors = _initial_colors(g)
-            neighbors = _neighbor_lists(g)
-            classes = len(set(_partition(colors)))
-            for _ in range(2 * g.node_count):
-                colors = _refine_once(neighbors, colors)
-                new_classes = len(set(_partition(colors)))
-                assert new_classes >= classes
-                classes = new_classes
+            _, attributes, rounds = certificate_rounds(wl_refine(g)[0])
+            classes = [len(set(attributes))] + [len(h) for h in rounds]
+            assert all(a < b for a, b in zip(classes, classes[1:-1]))
+            assert classes[-1] == classes[-2]
+            assert len(rounds) == wl_stabilization_rounds(g)
 
-    def test_histograms_pinned_on_benchmark_graphs(self):
-        # Colors are sha256 names, so a faster refinement must reproduce
-        # them byte for byte: the digest of every histogram of the 100 ER
-        # and 2,000 perturbed-regular graphs a seed-1 benchmark run draws.
-        graphs = [erdos_renyi(14, 0.3, 1_000_000 + t) for t in range(100)]
-        graphs += [random_regular_perturbed(10, 3, 1, 1_000_000 + t) for t in range(2000)]
+    def test_histograms_pinned_on_benchmark_graphs(self, benchmark_corpus):
+        # The oracle's sha256 colors, pinned byte for byte: the digest of
+        # every histogram of the 100 ER and 2,000 perturbed-regular graphs
+        # a seed-1 benchmark run draws.
+        _, histograms = benchmark_corpus
         digest = hashlib.sha256()
-        for g in graphs:
-            digest.update(json.dumps(wl_refine(g), sort_keys=True).encode())
+        for histogram in histograms:
+            digest.update(json.dumps(histogram, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "ef86f8ea50e1995994a539d5f478e70d6586c69e231bc654e0008b0b342d5804"
         )
+
+    def test_permuted_graph_gets_permuted_colors(self):
+        graphs = [seeded_graph(9, 0.35, 70 + seed) for seed in range(10)]
+        graphs += [path(7), Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], [2, 0, 2, 1, 1])]
+        for seed, g in enumerate(graphs):
+            perm = seeded_permutation(g.node_count, seed)
+            certificate, colors = wl_refine(g)
+            h_certificate, h_colors = wl_refine(permuted(g, perm))
+            assert h_certificate == certificate
+            assert all(h_colors[perm[v]] == colors[v] for v in range(g.node_count))
+
+
+class TestAgainstOracle:
+    def test_benchmark_graphs(self, benchmark_corpus):
+        assert_certificates_match_oracle(*benchmark_corpus)
+
+    def test_small_graphs(self):
+        assert_certificates_match_oracle(small_graphs())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(graph_strategy(max_nodes=7, attributed=True), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=1 << 32),
+    )
+    def test_attributed_graphs_of_mixed_sizes(self, graphs, seed):
+        # with permuted copies, so that every draw has equal pairs too
+        copies = [permuted(g, seeded_permutation(g.node_count, seed)) for g in graphs]
+        assert_certificates_match_oracle(graphs + copies)
+        for g in graphs:
+            assert wl_stabilization_rounds(g) == reference_wl_stabilization_rounds(g)
+
+    def test_stabilization_rounds(self, benchmark_corpus):
+        graphs = benchmark_corpus[0] + small_graphs()
+        for g in graphs:
+            assert wl_stabilization_rounds(g) == reference_wl_stabilization_rounds(g)
+
+    def test_distinguish_on_small_connected_graphs(self):
+        graphs = [g for k in range(1, 7) for g in enumerate_connected_graphs(k)]
+        graphs += [two_triangles(), cycle(6)]
+        oracle = [reference_wl_histogram(g) for g in graphs]
+        for (g, a), (h, b) in combinations(zip(graphs, oracle), 2):
+            assert wl_distinguish(g, h) == (a != b)
 
 
 class TestDistinguish:
