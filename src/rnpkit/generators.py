@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, UnsupportedSizeError, canonical_code, component_mask
-from .rng import SplitMix64
+from .graphs import Graph, UnsupportedSizeError, bits_of, canonical_code, component_mask
+from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, _MIX_MUL1, _MIX_MUL2, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
 
@@ -37,7 +37,12 @@ _PAIRING_MAX_ATTEMPTS = 100_000
 
 
 def check_regular_parameters(n: int, d: int, deletions: int) -> None:
-    """Raise ValueError unless ``random_regular_perturbed`` accepts these."""
+    """Raise ValueError unless a d-regular graph on n nodes exists and has
+    at least ``deletions`` edges.
+
+    This checks feasibility only: ``random_regular_perturbed`` can still
+    run out of attempts on a dense d (see there).
+    """
     if d < 0 or deletions < 0:
         raise ValueError("degree and deletions must be nonnegative")
     if d >= n and not (n == 0 and d == 0):
@@ -48,40 +53,102 @@ def check_regular_parameters(n: int, d: int, deletions: int) -> None:
         raise ValueError("cannot delete more edges than the regular graph has")
 
 
-def _pairing_model_edges(n: int, d: int, pairing: SplitMix64) -> list[tuple[int, int]]:
-    """Sorted edges of the first simple graph the pairing model draws."""
+@lru_cache(maxsize=8)
+def _stub_tables(stubs: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shuffle step i's ``below(i + 1)`` rejection limit, for i < stubs,
+    and the states whose draw lands in the top ``stubs`` values, the only
+    ones those limits can reject."""
+    limits = tuple((1 << 64) - (1 << 64) % (i + 1) for i in range(stubs))
+    return limits, tuple(_unmix((1 << 64) - k) for k in range(1, stubs + 1))
+
+
+def _pairing_model_edges(
+    n: int, d: int, pairing: SplitMix64
+) -> list[tuple[int, int]] | None:
+    """Sorted edges of the first simple graph the pairing model draws.
+
+    An attempt makes the draws of ``pairing.shuffle`` on the stub list
+    ``[0]*d + [1]*d + ...`` (SplitMix64 inlined) and fails if a pair
+    (2k, 2k + 1) is a loop or a repeated edge.  Shuffle step i fixes
+    position i, so pair (i, i + 1) is checked at even step i and pair
+    (0, 1) at the last step, i = 1.  A failed attempt skips its remaining
+    i - 1 draws by adding (i - 1) * golden to the state.  That is exact
+    unless one of them would be rejected by ``below``, so the skip is
+    taken only while the stream is before its first state in
+    ``_stub_tables``; past it, attempts finish draw by draw.  ``pairing``
+    is left as ``shuffle`` leaves it after the accepted attempt.  Returns
+    None if the attempt budget runs out.
+    """
+    m = n * d
+    if m == 0:
+        return []
+    limits, danger = _stub_tables(m)
+    state = start = pairing._state
+    # the number of draws from ``start`` before the first that below() may reject
+    safe = min((t - start - _GOLDEN) * _GOLDEN_INV & _MASK64 for t in danger)
+    stub_list = [v for v in range(n) for _ in range(d)]
     for _ in range(_PAIRING_MAX_ATTEMPTS):
-        stubs = [v for v in range(n) for _ in range(d)]
-        pairing.shuffle(stubs)
-        seen: set[tuple[int, int]] = set()
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            e = (min(u, v), max(u, v))
-            if u == v or e in seen:
-                break
-            seen.add(e)
+        stubs = stub_list[:]
+        rows = [0] * n
+        rejected = False
+        for i in range(m - 1, 0, -1):
+            limit = limits[i]
+            while True:
+                state = (state + _GOLDEN) & _MASK64
+                z = (state ^ (state >> 30)) * _MIX_MUL1 & _MASK64
+                z = (z ^ (z >> 27)) * _MIX_MUL2 & _MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            if rejected:
+                continue
+            j = z % (i + 1)
+            u = stubs[j]
+            stubs[j] = stubs[i]
+            stubs[i] = u
+            if i & 1 and i > 1:
+                continue
+            v = stubs[i ^ 1]
+            if u == v or rows[u] >> v & 1:
+                if ((state - start) * _GOLDEN_INV & _MASK64) + i - 1 <= safe:
+                    state = (state + (i - 1) * _GOLDEN) & _MASK64
+                    break
+                rejected = True
+                continue
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         else:
-            return sorted(seen)
-    raise RuntimeError(
-        f"pairing model failed to produce a simple {d}-regular graph on "
-        f"{n} nodes after {_PAIRING_MAX_ATTEMPTS} attempts"
-    )
+            if not rejected:
+                pairing._state = state
+                return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u << u)]
+    return None
 
 
 def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph:
     """Pairing-model d-regular graph with ``deletions`` random edges removed.
 
     The pairing model is resampled wholesale until it yields a simple
-    graph, then ``deletions`` distinct edges are deleted uniformly.  For
-    d = n - 1 the only such graph is K_n, which is built directly: the
-    pairing model would almost never draw it.
+    graph, then ``deletions`` distinct edges are deleted uniformly.  A
+    dense d may exhaust the attempt budget; then the graph is the
+    complement of a pairing-model (n - 1 - d)-regular graph drawn from a
+    substream of its own, and ValueError is raised if that exhausts its
+    budget too.  For d = n - 1 the only such graph is K_n, the complement
+    of the empty graph, which is taken at once: the pairing model would
+    almost never draw it.
     """
     check_regular_parameters(n, d, deletions)
     rng = SplitMix64(seed)
-    if d == n - 1:
-        edges = list(combinations(range(n), 2))
-    else:
-        edges = _pairing_model_edges(n, d, rng.split(0))
+    edges = None if d == n - 1 else _pairing_model_edges(n, d, rng.split(0))
+    if edges is None:
+        sparse = _pairing_model_edges(n, n - 1 - d, rng.split(2))
+        if sparse is None:
+            raise ValueError(
+                f"the pairing model drew no simple {d}-regular graph on {n} "
+                f"nodes, nor its complement, in {_PAIRING_MAX_ATTEMPTS} "
+                "attempts each"
+            )
+        drawn = set(sparse)
+        edges = [e for e in combinations(range(n), 2) if e not in drawn]
     deleting = rng.split(1)
     for _ in range(deletions):
         edges.pop(deleting.below(len(edges)))

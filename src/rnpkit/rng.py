@@ -12,12 +12,33 @@ from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX_MUL1 = 0xBF58476D1CE4E5B9
+_MIX_MUL2 = 0x94D049BB133111EB
+# odd multipliers are invertible mod 2**64
+_GOLDEN_INV = pow(_GOLDEN, -1, 1 << 64)
+_MIX_MUL1_INV = pow(_MIX_MUL1, -1, 1 << 64)
+_MIX_MUL2_INV = pow(_MIX_MUL2, -1, 1 << 64)
 
 
 def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MIX_MUL1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX_MUL2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    # x ^ (x >> shift) = z; each pass fixes ``shift`` more top bits of x
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix(z: int) -> int:
+    """The state whose ``_mix`` is z: ``_mix`` is a bijection on 64 bits."""
+    z = _unxorshift(z, 31) * _MIX_MUL2_INV & _MASK64
+    z = _unxorshift(z, 27) * _MIX_MUL1_INV & _MASK64
+    return _unxorshift(z, 30)
 
 
 class SplitMix64:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rnpkit
 from rnpkit import Graph, SplitMix64, erdos_renyi
+from rnpkit.generators import _PAIRING_MAX_ATTEMPTS
 from rnpkit.graphs import bits_of
 
 _SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
@@ -126,3 +127,24 @@ def reference_wl_stabilization_rounds(g: Graph) -> int:
         if new_part == part:
             return rounds
         part = new_part
+
+
+def reference_pairing_edges(n: int, d: int, pairing: SplitMix64) -> list[tuple[int, int]]:
+    """Pairing-model oracle: shuffle the whole stub list with
+    ``SplitMix64.shuffle``, then check its pairs in order."""
+    for _ in range(_PAIRING_MAX_ATTEMPTS):
+        stubs = [v for v in range(n) for _ in range(d)]
+        pairing.shuffle(stubs)
+        seen: set[tuple[int, int]] = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            e = (min(u, v), max(u, v))
+            if u == v or e in seen:
+                break
+            seen.add(e)
+        else:
+            return sorted(seen)
+    raise RuntimeError(
+        f"pairing model failed to produce a simple {d}-regular graph on "
+        f"{n} nodes after {_PAIRING_MAX_ATTEMPTS} attempts"
+    )

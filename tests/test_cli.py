@@ -67,6 +67,21 @@ class TestGen:
         assert code == 0
         assert parse_graph(text).edge_count == 10
 
+    @pytest.mark.parametrize("d", ["6", "7", "8"])
+    def test_dense_regular(self, d):
+        # the pairing model exhausts its budget here; its complement does not
+        code, text = run(["gen", "regular", "--n", "10", "--d", d, "--seed", "1"])
+        assert code == 0
+        g = parse_graph(text)
+        assert g.node_count == 10
+        assert all(g.degree(v) == int(d) for v in range(10))
+
+    def test_regular_exhausting_both_sides_is_user_error(self, capsys):
+        code, text = run(["gen", "regular", "--n", "16", "--d", "7", "--seed", "1"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "7-regular graph on 16 nodes" in err and "100000 attempts" in err
+
     def test_prime_partite(self):
         code, text = run(["gen", "prime-partite", "--primes", "2,3,5", "--n", "12"])
         assert code == 0

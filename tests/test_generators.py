@@ -1,8 +1,11 @@
+import hashlib
 import time
 from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnpkit import (
     UnsupportedSizeError,
@@ -22,7 +25,9 @@ from rnpkit import (
     star,
 )
 from rnpkit.generators import _pairing_model_edges
-from rnpkit.rng import SplitMix64
+from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
+
+from conftest import reference_pairing_edges
 
 
 class TestErdosRenyi:
@@ -90,11 +95,151 @@ class TestRandomRegular:
                     got = random_regular_perturbed(n, n - 1, deletions, seed)
                     assert got.edges() == edges
 
+    def test_pinned_output_grid(self):
+        # sha256 over the edge lists on a grid of (n, d, deletions, seed)
+        # and the 2,000 seed-1 stream_regular benchmark graphs, computed
+        # with the shuffle-then-check pairing model before the early-stop
+        # kernel replaced it
+        digest = hashlib.sha256()
+        for n, d, deletions, seed in _pinned_grid():
+            g = random_regular_perturbed(n, d, deletions, seed)
+            digest.update(f"{n},{d},{deletions},{seed}:{g.edges()}\n".encode())
+        assert digest.hexdigest() == (
+            "f6be9f5d433131e1e7108784f48c673f34669e055855036e67c919a95d31778b"
+        )
+
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    def test_dense_degree_uses_the_complement(self, d):
+        # (10, d) exhausts the pairing model's budget at seed 1; the graph
+        # is then the complement of a (9 - d)-regular draw on split(2)
+        sparse = set(reference_pairing_edges(10, 9 - d, SplitMix64(1).split(2)))
+        edges = [e for e in combinations(range(10), 2) if e not in sparse]
+        assert all(sum(v in e for e in edges) == d for v in range(10))
+        deleting = SplitMix64(1).split(1)
+        for _ in range(2):
+            edges.pop(deleting.below(len(edges)))
+        assert random_regular_perturbed(10, d, 2, 1).edges() == edges
+
     def test_complete_graph_is_prompt(self):
         start = time.monotonic()
         assert random_regular_perturbed(10, 9, 0, 1) == complete(10)
         assert random_regular_perturbed(10, 9, 5, 1).edge_count == 40
         assert time.monotonic() - start < 1.0
+
+
+def _pinned_grid():
+    for n in range(4, 21):
+        for d in range(min(5, n - 1) + 1):
+            if n * d % 2:
+                continue
+            for deletions in sorted({0, 1, n * d // 4}):
+                if deletions <= n * d // 2:
+                    for seed in range(3):
+                        yield n, d, deletions, seed
+    for trial in range(2000):
+        yield 10, 3, 1, 1_000_000 + trial
+
+
+@st.composite
+def _pairing_parameters(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    d = draw(st.integers(min_value=0, max_value=min(4, max(n - 1, 0))))
+    if n * d % 2:
+        d -= 1
+    return n, d, draw(st.integers(min_value=0, max_value=_MASK64))
+
+
+def _draw_roles(n: int, d: int, pairing: SplitMix64):
+    """Replay the shuffle-then-check pairing model on ``pairing`` and
+    name its draws (numbered from 1): those below() rejected, those of a
+    rejected attempt's steps after its first bad pair in top-down order
+    (the early-stopping kernel skips them), and the final draw."""
+    m = n * d
+    rejected, tail = set(), set()
+    drawn = 0
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        steps = {}
+        for i in range(m - 1, 0, -1):
+            first = drawn + 1
+            limit = (1 << 64) - (1 << 64) % (i + 1)
+            while True:
+                value = pairing.next_u64()
+                drawn += 1
+                if value < limit:
+                    break
+                rejected.add(drawn)
+            j = value % (i + 1)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+            steps[i] = range(first, drawn + 1)
+        seen, bad = set(), None
+        for i in range(m - 2, -1, -2):
+            e = (min(stubs[i:i + 2]), max(stubs[i:i + 2]))
+            if e[0] == e[1] or e in seen:
+                bad = i
+                break
+            seen.add(e)
+        if bad is None:
+            return rejected, tail, drawn
+        for i in range(bad - 1, 0, -1):
+            tail.update(steps[i])
+
+
+class TestPairingKernel:
+    """The early-stopping kernel against the shuffle-then-check oracle:
+    same edges, and the stream left in the same state."""
+
+    @staticmethod
+    def assert_matches_reference(n, d, state):
+        kernel, oracle = SplitMix64(state), SplitMix64(state)
+        assert _pairing_model_edges(n, d, kernel) == reference_pairing_edges(n, d, oracle)
+        assert kernel.next_u64() == oracle.next_u64()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pairing_parameters())
+    def test_matches_reference(self, params):
+        n, d, state = params
+        self.assert_matches_reference(n, d, state)
+
+    def test_matches_reference_on_benchmark_streams(self):
+        for seed in range(5_000_000, 5_000_300):
+            self.assert_matches_reference(10, 3, SplitMix64(seed).split(0)._state)
+
+    def test_rejection_zone_streams(self):
+        # Stream SplitMix64(t - k * golden) makes draw k the value x = _mix(t).
+        # x = 2**64 - 1 is rejected by every below(b) whose b is not a power
+        # of two; x = 2**64 - n*d lies in no rejection zone but is still
+        # treated as dangerous.  The sweep must place a rejected draw first,
+        # a rejected draw in a skipped tail, and a danger state at the final
+        # draw (b = 2 there, which rejects nothing).
+        covered = set()
+        for n, d in [(4, 1), (6, 2), (8, 3), (10, 3)]:
+            m = n * d
+            for x in ((1 << 64) - 1, (1 << 64) - 2, (1 << 64) - m):
+                t = _unmix(x)
+                for k in range(1, 121):
+                    state = (t - k * _GOLDEN) & _MASK64
+                    self.assert_matches_reference(n, d, state)
+                    rejected, tail, last = _draw_roles(n, d, SplitMix64(state))
+                    if k in rejected and k == 1:
+                        covered.add("first")
+                    if k in rejected and k in tail:
+                        covered.add("tail")
+                    if k == last:
+                        covered.add("last")
+        assert covered == {"first", "tail", "last"}
+
+    def test_degree_zero_draws_nothing(self):
+        pairing = SplitMix64(3)
+        assert _pairing_model_edges(7, 0, pairing) == []
+        assert pairing.next_u64() == SplitMix64(3).next_u64()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=_MASK64))
+def test_unmix_inverts_mix(x):
+    assert _mix(_unmix(x)) == x
+    assert _unmix(_mix(x)) == x
 
 
 class TestPrimePartite:
