@@ -37,8 +37,8 @@ from .graphs import (
     Graph,
     ParseError,
     UnsupportedSizeError,
-    all_pairs_shortest_paths,
-    are_isomorphic,
+    _isomorphic,
+    bfs_layers,
     parse_graph,
     serialize_graph,
 )
@@ -284,13 +284,15 @@ def _generate_trial(gen: dict, seed: int) -> tuple[Graph, str]:
     )
 
 
-def _distance_profile(g: Graph) -> tuple:
-    """Sorted multiset of every node's sorted distances to all nodes.
-
-    An isomorphism invariant that splits most regular graphs, on which
-    1-WL refinement is blind.
-    """
-    return tuple(sorted(tuple(sorted(row)) for row in all_pairs_shortest_paths(g)))
+def _node_invariants(g: Graph) -> tuple[tuple, ...]:
+    """Each node's (attribute, BFS layer sizes, unreached count): its distance
+    histogram, which splits most regular graphs where 1-WL is blind."""
+    n, full = g.node_count, (1 << g.node_count) - 1
+    invariants = []
+    for v, attribute in enumerate(g.attributes):
+        sizes = tuple(map(int.bit_count, bfs_layers(g.adjacency, full, v)))
+        invariants.append((attribute, sizes, n - sum(sizes)))
+    return tuple(invariants)
 
 
 def _cmd_experiment(args, out) -> int:
@@ -324,27 +326,28 @@ def _cmd_experiment(args, out) -> int:
     writer.writerow(header)
     # Earlier trials, grouped exactly: encoding -> {count vector: trials}.
     trials_by_encoding: dict[bytes, dict[tuple[int, ...], int]] = {}
-    # Isomorphism classes seen so far, each with its computed columns, in
-    # buckets keyed by 1-WL certificate and then distance profile.  Every
-    # column is an isomorphism invariant, so a graph isomorphic to a
-    # representative reuses that class's columns.  The keys only pick the
-    # bucket (isomorphic graphs always share both); a hit needs an exact
-    # isomorphism test.  Representatives carry their stable 1-WL colors as
-    # attributes: a bucket shares one certificate, hence one color naming,
-    # and isomorphisms preserve those colors (and, through them, the
-    # original attributes), so the test only pairs nodes of equal color.
-    classes: dict[tuple, dict[tuple, list[tuple[Graph, tuple]]]] = {}
+    # Isomorphism classes seen so far with their computed columns, in
+    # buckets keyed by the sorted node invariants.  Every column is an
+    # isomorphism invariant, so a graph isomorphic to a representative
+    # reuses its class's columns.  The key only picks the bucket; a hit
+    # needs an exact isomorphism test that pairs nodes of equal invariants.
+    classes: dict[tuple, list[tuple[tuple[int, ...], tuple, tuple]]] = {}
+    # A hit shares an earlier trial's 1-WL certificate, and every earlier
+    # trial shares one with a miss, so only misses run 1-WL and record it.
+    certificates: set[tuple[int, ...]] = set()
     radii_text = ",".join(str(r) for r in radii)
     for trial in range(spec["trials"]):
         seed = spec["base_seed"] + trial
         graph, label = _generate_trial(spec["generator"], seed)
-        certificate, colors = wl_refine(graph)
-        by_profile = classes.setdefault(certificate, {})
-        wl_distinct = not by_profile
-        bucket = by_profile.setdefault(_distance_profile(graph), [])
-        colored = Graph(graph.node_count, graph.adjacency, colors)
-        columns = next((c for rep, c in bucket if are_isomorphic(rep, colored)), None)
+        invariants = _node_invariants(graph)
+        bucket = classes.setdefault(tuple(sorted(invariants)), [])
+        columns = next((c for adj, inv, c in bucket
+                        if _isomorphic(adj, inv, graph.adjacency, invariants)), None)
+        wl_distinct = False
         if columns is None:
+            certificate = wl_refine(graph)[0]
+            wl_distinct = certificate not in certificates
+            certificates.add(certificate)
             counts = census.counts(graph)
             encodings, counter = rnp_encode_nodes(graph, radii)
             encoding = graph_readout(encodings.values())
@@ -355,7 +358,7 @@ def _cmd_experiment(args, out) -> int:
                 counter.invocations,
                 update_bound(graph, radii),
             )
-            bucket.append((colored, columns))
+            bucket.append((graph.adjacency, invariants, columns))
         counts, encoding, digest, updates, bound = columns
         same_encoding = trials_by_encoding.setdefault(encoding, {})
         row = [

@@ -82,7 +82,7 @@ def count_induced(g: Graph, h: Graph) -> int:
         if sorted(r.bit_count() for r in rows) != h_degrees:
             continue
         attrs = tuple(g.attributes[v] for v in subset)
-        if _isomorphic(rows, attrs, h.adjacency, h.attributes):
+        if _isomorphic(h.adjacency, h.attributes, rows, attrs):
             count += 1
     return count
 

@@ -18,6 +18,7 @@ from .graphs import (
     UnsupportedSizeError,
     all_pairs_shortest_paths,
     ball_mask,
+    bfs_layers,
     bits_of,
     is_connected,
 )
@@ -40,19 +41,8 @@ def covering_distance(
         mask |= 1 << u
     if not (mask >> v) & 1:
         raise ValueError(f"node {v} is not in the member set")
-    dist = 0
-    seen = 1 << v
-    frontier = seen
-    while seen != mask:
-        grown = 0
-        for u in bits_of(frontier):
-            grown |= g.adjacency[u]
-        frontier = grown & mask & ~seen
-        if not frontier:
-            return INFINITY
-        seen |= frontier
-        dist += 1
-    return dist
+    layers = bfs_layers(g.adjacency, mask, v)
+    return len(layers) - 1 if sum(layers) == mask else INFINITY
 
 
 def _covers(adjacency: tuple[int, ...], mask: int, v: int, radius: int) -> bool:
@@ -161,17 +151,9 @@ def minimum_spanning_tree(
 
 
 def _tree_eccentricities(tree_adj: dict[int, set[int]]) -> dict[int, int]:
-    ecc = {}
-    for v in tree_adj:
-        seen = {v}
-        frontier = {v}
-        depth = 0
-        while len(seen) < len(tree_adj):
-            frontier = {w for u in frontier for w in tree_adj[u]} - seen
-            seen |= frontier
-            depth += 1
-        ecc[v] = depth
-    return ecc
+    rows = [sum(1 << w for w in tree_adj.get(u, ())) for u in range(max(tree_adj) + 1)]
+    within = sum(1 << v for v in tree_adj)
+    return {v: len(bfs_layers(tuple(rows), within, v)) - 1 for v in tree_adj}
 
 
 def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

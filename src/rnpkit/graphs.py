@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 INFINITY = math.inf
 
@@ -56,7 +56,7 @@ def ball_mask(adjacency: tuple[int, ...], within: int, v: int, radius: int) -> i
 
 def component_mask(adjacency: tuple[int, ...], within: int, v: int) -> int:
     """Connected component of ``v`` inside the node set ``within``."""
-    return ball_mask(adjacency, within, v, max(0, within.bit_count() - 1))
+    return sum(bfs_layers(adjacency, within, v))
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,23 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int,
     return Graph(len(selected), tuple(rows), attrs), index_map
 
 
+def bfs_layers(adjacency: tuple[int, ...], within: int, v: int) -> list[int]:
+    """Masks of the nodes at distance 0, 1, 2, ... from ``v`` inside ``within``."""
+    layers = [1 << v]
+    seen = frontier = 1 << v
+    while True:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
+
+
 def all_pairs_shortest_paths(g: Graph) -> tuple[tuple[int | float, ...], ...]:
     """Exact unweighted BFS distances; INFINITY across components."""
     n = g.node_count
@@ -196,18 +213,8 @@ def all_pairs_shortest_paths(g: Graph) -> tuple[tuple[int | float, ...], ...]:
     rows = []
     for v in range(n):
         dist: list[int | float] = [INFINITY] * n
-        dist[v] = 0
-        seen = 1 << v
-        frontier = seen
-        level = 0
-        while frontier:
-            level += 1
-            grown = 0
-            for u in bits_of(frontier):
-                grown |= g.adjacency[u]
-            frontier = grown & full & ~seen
-            seen |= frontier
-            for u in bits_of(frontier):
+        for level, layer in enumerate(bfs_layers(g.adjacency, full, v)):
+            for u in bits_of(layer):
                 dist[u] = level
         rows.append(tuple(dist))
     return tuple(rows)
@@ -220,7 +227,8 @@ def is_connected(g: Graph) -> bool:
     return component_mask(g.adjacency, full, 0) == full
 
 
-def _search_order(adj: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=1 << 12)
+def _search_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     # Order nodes so each one touches as many already-ordered nodes as
     # possible; this makes the isomorphism backtracking prune early.
     n = len(adj)
@@ -235,15 +243,17 @@ def _search_order(adj: tuple[int, ...]) -> list[int]:
         order.append(best)
         placed |= 1 << best
         remaining.remove(best)
-    return order
+    return tuple(order)
 
 
 def _isomorphic(
     adj_a: tuple[int, ...],
-    attrs_a: tuple[int, ...],
+    attrs_a: Sequence[Hashable],
     adj_b: tuple[int, ...],
-    attrs_b: tuple[int, ...],
+    attrs_b: Sequence[Hashable],
 ) -> bool:
+    # Colors are any comparable values (attributes or finer invariants).
+    # The search order is cached per adj_a: pass the recurring graph first.
     n = len(adj_a)
     if len(adj_b) != n:
         return False
@@ -252,15 +262,11 @@ def _isomorphic(
     if sig_a != sig_b:
         return False
     order = _search_order(adj_a)
-    candidates = [
-        [
-            w
-            for w in range(n)
-            if attrs_b[w] == attrs_a[u] and adj_b[w].bit_count() == adj_a[u].bit_count()
-        ]
-        for u in order
-    ]
-    mapping = [-1] * n
+    cells: dict = {}
+    for w in range(n):
+        cells.setdefault((attrs_b[w], adj_b[w].bit_count()), []).append(w)
+    candidates = [cells[attrs_a[u], adj_a[u].bit_count()] for u in order]
+    image = [0] * n  # image[u]: the bit of the node u is mapped to
 
     def backtrack(i: int, used: int, placed_a: int) -> bool:
         if i == n:
@@ -268,16 +274,14 @@ def _isomorphic(
         u = order[i]
         need = 0
         for x in bits_of(adj_a[u] & placed_a):
-            need |= 1 << mapping[x]
+            need |= image[x]
         for w in candidates[i]:
-            if (used >> w) & 1:
+            bit = 1 << w
+            if used & bit or adj_b[w] & used != need:
                 continue
-            if adj_b[w] & used != need:
-                continue
-            mapping[u] = w
-            if backtrack(i + 1, used | (1 << w), placed_a | (1 << u)):
+            image[u] = bit
+            if backtrack(i + 1, used | bit, placed_a | (1 << u)):
                 return True
-        mapping[u] = -1
         return False
 
     return backtrack(0, 0, 0)

@@ -6,15 +6,19 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rnpkit import (
     Graph,
     SplitMix64,
+    are_isomorphic,
     canonical_code,
     complete,
     count_induced,
     count_noninduced,
     cycle,
+    disjoint_union,
     encoding_digest,
     erdos_renyi,
     family_covering_sequence,
@@ -33,7 +37,7 @@ from rnpkit import (
 from rnpkit import cli
 from rnpkit.cli import main
 
-from conftest import cli_env, reference_wl_histogram
+from conftest import cli_env, graph_strategy, reference_wl_histogram
 
 
 def run(argv):
@@ -251,6 +255,24 @@ def shuffled(n, seed):
     return perm
 
 
+def component_sizes(g):
+    """Sizes of g's connected components, by a plain set-based search."""
+    unseen = set(range(g.node_count))
+    sizes = []
+    while unseen:
+        stack = [unseen.pop()]
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for w in g.neighbors(u):
+                if w in unseen:
+                    unseen.remove(w)
+                    stack.append(w)
+        sizes.append(size)
+    return sizes
+
+
 def recomputed_rows(trials, patterns, spec_path, radii, mode):
     """Every experiment column, recomputed per trial and by rescanning earlier ones.
 
@@ -292,7 +314,7 @@ def rook_and_shrikhande():
     """The 4x4 rook's graph and the Shrikhande graph.
 
     Both are strongly regular with parameters (16, 6, 2, 2), so they share
-    their 1-WL key and distance profile; only the rook's graph has a K4.
+    their 1-WL certificate and memo key; only the rook's graph has a K4.
     """
     cells = [(i, j) for i in range(4) for j in range(4)]
     steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
@@ -406,7 +428,7 @@ class TestExperiment:
     @pytest.mark.parametrize("pair", ["figure2", "strongly_regular"])
     def test_key_collision_is_not_a_hit(self, tmp_path, monkeypatch, pair):
         # C6 and two triangles share a 1-WL key; the rook's and Shrikhande
-        # graphs share a distance profile too.  Neither pair is isomorphic.
+        # graphs share the memo key too.  Neither pair is isomorphic.
         if pair == "figure2":
             a, b = pattern("figure2_pair")
             patterns = [complete(3), path(3)]
@@ -438,22 +460,86 @@ class TestExperiment:
         assert [row["rnp_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
         assert encoded == [a, b]
 
-    def test_regular_classes_are_not_tested_pairwise(self, tmp_path, monkeypatch):
-        # 1-WL gives every 3-regular graph the same key; the distance
-        # profile keeps distinct classes out of each other's buckets.
-        generator = {"kind": "regular", "n": 16, "d": 3, "delete": 0}
-        spec = experiment_spec(tmp_path, generator=generator, trials=60)
-        tested = count_calls(monkeypatch, "are_isomorphic")
+    def test_attributed_hosts_through_the_memo(self, tmp_path, monkeypatch):
+        # experiment only generates attribute-0 hosts; the memo key and the
+        # exact test must still keep graphs apart by attribute.
+        base = erdos_renyi(8, 0.5, 4)
+        a = Graph(8, base.adjacency, (0, 1, 0, 2, 0, 0, 1, 0))
+        b = Graph(8, base.adjacency, (0, 1, 0, 2, 0, 0, 1, 3))
+        sequence = [a, b]
+        for i in range(3):
+            sequence.append(permuted(a, shuffled(8, 2 * i)))
+            sequence.append(permuted(b, shuffled(8, 2 * i + 1)))
+        monkeypatch.setattr(cli, "_generate_trial", lambda gen, seed: (sequence[seed], "fixed"))
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        spec = experiment_spec(tmp_path, trials=len(sequence))
         code, text = run(["experiment", spec])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
-        label = "regular(n=16,d=3,delete=0)"
-        trials = [(s, label, random_regular_perturbed(16, 3, 0, s)) for s in range(60)]
+        trials = [(seed, "fixed", g) for seed, g in enumerate(sequence)]
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
         assert rows == recomputed_rows(trials, patterns, spec, radii, "induced")
-        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * 59
-        assert len(tested) < 10
+        assert [row["wl_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
+        assert [row["rnp_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
+        assert encoded == [a, b]
+
+    @pytest.mark.parametrize("generator, trials", [
+        ({"kind": "regular", "n": 16, "d": 3, "delete": 0}, 60),
+        ({"kind": "regular", "n": 20, "d": 19, "delete": 0}, 20),
+        ({"kind": "er", "n": 64, "p": 0}, 20),
+        ({"kind": "regular", "n": 60, "d": 1, "delete": 0}, 20),
+        ({"kind": "regular", "n": 60, "d": 2, "delete": 0}, 20),
+    ], ids=["cubic16", "complete20", "empty64", "matching60", "cycles60"])
+    def test_regular_classes_are_not_tested_pairwise(
+        self, tmp_path, monkeypatch, generator, trials
+    ):
+        # 1-WL gives every regular graph of one degree and size the same
+        # certificate.  The memo key carries each node's distance histogram,
+        # which keeps distinct classes out of each other's buckets; a hit
+        # costs one exact test, and these symmetric hosts must not make that
+        # test search long.  The brute-force count oracle is slow on the
+        # larger hosts, and patterns do not enter the memo key, so those
+        # run without patterns.
+        if generator["n"] > 16:
+            patterns, radii = [], (1,)
+            spec = experiment_spec(tmp_path, generator=generator, trials=trials,
+                                   patterns=[], radii=[1])
+        else:
+            patterns = [complete(3), path(3)]
+            radii = family_covering_sequence(patterns)
+            spec = experiment_spec(tmp_path, generator=generator, trials=trials)
+        results = []
+        exact_test = cli._isomorphic
+
+        def recorded(*args):
+            results.append(exact_test(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_isomorphic", recorded)
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        n = generator["n"]
+        if generator["kind"] == "er":
+            label = f"er(n={n},p={generator['p']})"
+            graphs = [erdos_renyi(n, generator["p"], s) for s in range(trials)]
+        else:
+            d, delete = generator["d"], generator["delete"]
+            label = f"regular(n={n},d={d},delete={delete})"
+            graphs = [random_regular_perturbed(n, d, delete, s) for s in range(trials)]
+        trial_rows = [(s, label, g) for s, g in enumerate(graphs)]
+        assert rows == recomputed_rows(trial_rows, patterns, spec, radii, "induced")
+        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * (trials - 1)
+        # Each hit is one passing test; failing tests compare distinct classes.
+        assert results.count(True) == trials - len(encoded)
+        assert results.count(False) < 10
+        if generator.get("d", 0) != 3:
+            # Every component is complete, an edge or a cycle: its size
+            # names it, so the sorted sizes name the class.
+            classes = {tuple(sorted(component_sizes(g))) for g in graphs}
+            assert len(encoded) == len(classes)
 
     @pytest.mark.parametrize("mode", ["induced", "noninduced"])
     def test_counts_match_oracles_for_mixed_patterns(self, tmp_path, mode):
@@ -476,6 +562,53 @@ class TestExperiment:
             g = erdos_renyi(8, 0.35, int(row["seed"]))
             got = [int(row[f"count:{f}"]) for f in files]
             assert got == [oracle(g, h) for h in patterns]
+
+
+def toggled(g, pairs):
+    """g with the edge state of each node pair in ``pairs`` flipped."""
+    rows = list(g.adjacency)
+    for u, v in pairs:
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Graph(g.node_count, tuple(rows), g.attributes)
+
+
+class TestMemoKey:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph_strategy(max_nodes=7, attributed=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.integers(min_value=0, max_value=20), max_size=2),
+    )
+    @example(Graph(0, (), ()), 0, [])
+    @example(Graph(1, (0,), (2,)), 1, [0])
+    @example(disjoint_union(cycle(6), complete(1)), 2, [])
+    @example(disjoint_union(cycle(6), complete(1)), 3, [0])
+    @example(pattern("figure2_pair")[0], 4, [])
+    def test_key_is_invariant_and_hit_test_is_exact(self, g, seed, flips):
+        n = g.node_count
+        pairs = list(combinations(range(n), 2))
+
+        def key(x):
+            return tuple(sorted(cli._node_invariants(x)))
+
+        def hit(x, y):
+            return cli._isomorphic(
+                x.adjacency, cli._node_invariants(x), y.adjacency, cli._node_invariants(y)
+            )
+
+        copy = permuted(g, shuffled(n, seed))
+        assert key(copy) == key(g)
+        assert hit(g, copy) and are_isomorphic(g, copy)
+        # A few flipped edges, relabelled, and the same edges with the
+        # attributes moved: often isomorphic or sharing the key.
+        flipped = permuted(toggled(g, [pairs[i % len(pairs)] for i in flips if pairs]),
+                           shuffled(n, seed + 1))
+        moved = Graph(n, g.adjacency, tuple(g.attributes[v] for v in shuffled(n, seed + 2)))
+        for other in (flipped, moved):
+            assert hit(g, other) == are_isomorphic(g, other) == hit(other, g)
+            if key(other) != key(g):
+                assert not are_isomorphic(g, other)
 
 
 class TestExperimentValidation:
