@@ -21,6 +21,7 @@ from typing import Sequence
 from .counting import MAX_HOST_NODES, PatternCensus, count_induced, count_noninduced
 from .covering import family_covering_sequence, is_vertex_covering_sequence, min_r1_covering_sequence
 from .encoder import (
+    distinguish,
     encoding_digest,
     graph_readout,
     rnp_encode_nodes,
@@ -37,7 +38,7 @@ from .graphs import (
     Graph,
     ParseError,
     UnsupportedSizeError,
-    _isomorphic,
+    _embeddings,
     bfs_layers,
     parse_graph,
     serialize_graph,
@@ -163,13 +164,10 @@ def _cmd_distinguish(args, out) -> int:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     radii = _parse_radii(args.radii)
-    encodings1, _ = rnp_encode_nodes(g1, radii)
-    encodings2, _ = rnp_encode_nodes(g2, radii)
-    rnp = graph_readout(encodings1.values()) != graph_readout(encodings2.values())
     _emit_json(
         {
             "schema": SCHEMA,
-            "rnp": rnp,
+            "rnp": distinguish(g1, g2, radii),
             "wl": wl_distinguish(g1, g2),
             "radii": list(radii),
         },
@@ -341,8 +339,8 @@ def _cmd_experiment(args, out) -> int:
         graph, label = _generate_trial(spec["generator"], seed)
         invariants = _node_invariants(graph)
         bucket = classes.setdefault(tuple(sorted(invariants)), [])
-        columns = next((c for adj, inv, c in bucket
-                        if _isomorphic(adj, inv, graph.adjacency, invariants)), None)
+        columns = next((c for adj, inv, c in bucket if _embeddings(
+            adj, inv, graph.adjacency, invariants, True, first=True)), None)
         wl_distinct = False
         if columns is None:
             certificate = wl_refine(graph)[0]

@@ -3,10 +3,13 @@
 The oracles are the ground truth the encoder is checked against, so
 they favour exactness and independence over speed: induced counts come
 from explicit vertex-subset enumeration, non-induced counts from an
-injective-homomorphism search divided by the pattern's automorphism
-count.  ``PatternCensus`` counts a fixed list of patterns in many hosts
-from one connected-subset enumeration per pattern size, and tests check
-it against the oracles.  Attribute matching is exact equality throughout.
+injective-homomorphism count divided by the pattern's automorphism
+count.  One backtracking matcher, ``graphs._embeddings``, tests each
+subset for isomorphism and counts both the homomorphisms and the
+automorphisms.  ``PatternCensus`` counts a fixed list of patterns in
+many hosts from one connected-subset enumeration per pattern size, and
+tests check it against the oracles.  Attribute matching is exact
+equality throughout.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from .graphs import (
     Graph,
     UnsupportedSizeError,
     _canonical_code,
-    _isomorphic,
-    _search_order,
-    bits_of,
+    _embeddings,
     canonical_code,
     is_connected,
 )
@@ -82,89 +83,15 @@ def count_induced(g: Graph, h: Graph) -> int:
         if sorted(r.bit_count() for r in rows) != h_degrees:
             continue
         attrs = tuple(g.attributes[v] for v in subset)
-        if _isomorphic(h.adjacency, h.attributes, rows, attrs):
+        if _embeddings(h.adjacency, h.attributes, rows, attrs, True, first=True):
             count += 1
     return count
-
-
-def _injective_homomorphisms(h: Graph, g: Graph) -> int:
-    # Injective maps of h's nodes into g's preserving attributes and
-    # mapping every h-edge onto a g-edge (g may have extra edges).
-    k = h.node_count
-    order = _search_order(h.adjacency)
-    candidates = [
-        [
-            w
-            for w in range(g.node_count)
-            if g.attributes[w] == h.attributes[u]
-            and g.adjacency[w].bit_count() >= h.adjacency[u].bit_count()
-        ]
-        for u in order
-    ]
-    mapping = [-1] * k
-    total = 0
-
-    def backtrack(i: int, used: int, placed: int) -> None:
-        nonlocal total
-        if i == k:
-            total += 1
-            return
-        u = order[i]
-        need = 0
-        for x in bits_of(h.adjacency[u] & placed):
-            need |= 1 << mapping[x]
-        for w in candidates[i]:
-            if (used >> w) & 1:
-                continue
-            if g.adjacency[w] & need != need:
-                continue
-            mapping[u] = w
-            backtrack(i + 1, used | (1 << w), placed | (1 << u))
-        mapping[u] = -1
-
-    backtrack(0, 0, 0)
-    return total
 
 
 def automorphism_count(h: Graph) -> int:
     """Number of attribute- and adjacency-preserving self-bijections of h."""
     _check_pattern_size(h)
-    k = h.node_count
-    if k == 0:
-        return 1
-    order = _search_order(h.adjacency)
-    candidates = [
-        [
-            w
-            for w in range(k)
-            if h.attributes[w] == h.attributes[u]
-            and h.adjacency[w].bit_count() == h.adjacency[u].bit_count()
-        ]
-        for u in order
-    ]
-    mapping = [-1] * k
-    total = 0
-
-    def backtrack(i: int, used: int, placed: int) -> None:
-        nonlocal total
-        if i == k:
-            total += 1
-            return
-        u = order[i]
-        need = 0
-        for x in bits_of(h.adjacency[u] & placed):
-            need |= 1 << mapping[x]
-        for w in candidates[i]:
-            if (used >> w) & 1:
-                continue
-            if h.adjacency[w] & used != need:
-                continue
-            mapping[u] = w
-            backtrack(i + 1, used | (1 << w), placed | (1 << u))
-        mapping[u] = -1
-
-    backtrack(0, 0, 0)
-    return total
+    return _embeddings(h.adjacency, h.attributes, h.adjacency, h.attributes, True)
 
 
 def count_noninduced(g: Graph, h: Graph) -> int:
@@ -174,7 +101,8 @@ def count_noninduced(g: Graph, h: Graph) -> int:
         return 0
     if h.node_count == 0:
         return 1
-    return _injective_homomorphisms(h, g) // automorphism_count(h)
+    embeddings = _embeddings(h.adjacency, h.attributes, g.adjacency, g.attributes, False)
+    return embeddings // automorphism_count(h)
 
 
 def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:

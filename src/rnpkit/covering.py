@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     UnsupportedSizeError,
     all_pairs_shortest_paths,
-    ball_mask,
     bfs_layers,
     bits_of,
     is_connected,
@@ -47,7 +46,7 @@ def covering_distance(
 
 def _covers(adjacency: tuple[int, ...], mask: int, v: int, radius: int) -> bool:
     # True iff every node of ``mask`` lies within ``radius`` of v inside mask.
-    return ball_mask(adjacency, mask, v, radius) == mask
+    return sum(bfs_layers(adjacency, mask, v)[: radius + 1]) == mask
 
 
 def is_vertex_covering_sequence(

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph, ball_mask, bits_of
+from .graphs import Graph, bfs_layers, bits_of
 
 Encoding = bytes
 
@@ -211,5 +211,6 @@ def update_bound(g: Graph, radii: Sequence[int]) -> int:
     if n == 0:
         return 0
     full = (1 << n) - 1
-    c = max(ball_mask(g.adjacency, full, v, radii[0]).bit_count() for v in range(n))
+    r = radii[0]
+    c = max(sum(bfs_layers(g.adjacency, full, v)[: r + 1]).bit_count() for v in range(n))
     return n * c ** len(radii)

@@ -39,21 +39,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def ball_mask(adjacency: tuple[int, ...], within: int, v: int, radius: int) -> int:
-    """Closed ball of ``radius`` around ``v`` inside the node set ``within``."""
-    ball = 1 << v
-    frontier = ball
-    for _ in range(radius):
-        grown = 0
-        for u in bits_of(frontier):
-            grown |= adjacency[u]
-        frontier = grown & within & ~ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
-
-
 def component_mask(adjacency: tuple[int, ...], within: int, v: int) -> int:
     """Connected component of ``v`` inside the node set ``within``."""
     return sum(bfs_layers(adjacency, within, v))
@@ -152,21 +137,13 @@ def _check_node(g: Graph, v: int) -> None:
         raise ValueError(f"node {v} out of range for graph with {g.node_count} nodes")
 
 
-def _members_mask(g: Graph, members: Iterable[int]) -> int:
-    mask = 0
-    for v in members:
-        _check_node(g, v)
-        mask |= 1 << v
-    return mask
-
-
 def neighborhood(g: Graph, v: int, radius: int) -> frozenset[int]:
     """All nodes at shortest-path distance <= radius from v, including v."""
     _check_node(g, v)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     full = (1 << g.node_count) - 1
-    return frozenset(bits_of(ball_mask(g.adjacency, full, v, radius)))
+    return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v)[: radius + 1])))
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -230,7 +207,7 @@ def is_connected(g: Graph) -> bool:
 @lru_cache(maxsize=1 << 12)
 def _search_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     # Order nodes so each one touches as many already-ordered nodes as
-    # possible; this makes the isomorphism backtracking prune early.
+    # possible; this makes the backtracking in _embeddings prune early.
     n = len(adj)
     remaining = set(range(n))
     order: list[int] = []
@@ -246,50 +223,68 @@ def _search_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _isomorphic(
-    adj_a: tuple[int, ...],
-    attrs_a: Sequence[Hashable],
-    adj_b: tuple[int, ...],
-    attrs_b: Sequence[Hashable],
-) -> bool:
-    # Colors are any comparable values (attributes or finer invariants).
-    # The search order is cached per adj_a: pass the recurring graph first.
-    n = len(adj_a)
-    if len(adj_b) != n:
-        return False
-    sig_a = sorted((attrs_a[v], adj_a[v].bit_count()) for v in range(n))
-    sig_b = sorted((attrs_b[v], adj_b[v].bit_count()) for v in range(n))
-    if sig_a != sig_b:
-        return False
-    order = _search_order(adj_a)
-    cells: dict = {}
-    for w in range(n):
-        cells.setdefault((attrs_b[w], adj_b[w].bit_count()), []).append(w)
-    candidates = [cells[attrs_a[u], adj_a[u].bit_count()] for u in order]
-    image = [0] * n  # image[u]: the bit of the node u is mapped to
+def _embeddings(
+    adj_p: tuple[int, ...],
+    colors_p: Sequence[Hashable],
+    adj_t: tuple[int, ...],
+    colors_t: Sequence[Hashable],
+    induced: bool,
+    first: bool = False,
+) -> int:
+    """Number of colour-preserving injective maps of p's nodes into t's.
 
-    def backtrack(i: int, used: int, placed_a: int) -> bool:
-        if i == n:
-            return True
+    Induced mode counts isomorphisms (every node pair keeps its edge
+    state); otherwise every p-edge lands on a t-edge (monomorphisms).
+    ``first`` stops at the first map.  Colours are any comparable values.
+    The search order is cached per adj_p: pass the recurring graph first.
+    """
+    k = len(adj_p)
+    keys_p = list(zip(colors_p, map(int.bit_count, adj_p)))  # (colour, degree)
+    keys_t = list(zip(colors_t, map(int.bit_count, adj_t)))
+    if induced and sorted(keys_p) != sorted(keys_t):
+        return 0
+    order = _search_order(adj_p)
+    cells: dict = {}
+    for w, key in enumerate(keys_t):
+        cells.setdefault(key, []).append(w)
+    if induced:
+        candidates = [cells[keys_p[u]] for u in order]
+    else:
+        candidates = [
+            [w for (color, degree), cell in cells.items()
+             if color == keys_p[u][0] and degree >= keys_p[u][1] for w in cell]
+            for u in order
+        ]
+    image = [0] * k  # image[u]: the bit of the node u is mapped to
+    total = 0
+
+    def backtrack(i: int, used: int, placed: int) -> bool:  # True: stop
+        nonlocal total
+        if i == k:
+            total += 1
+            return first
         u = order[i]
         need = 0
-        for x in bits_of(adj_a[u] & placed_a):
+        for x in bits_of(adj_p[u] & placed):
             need |= image[x]
+        mask = used if induced else need
         for w in candidates[i]:
             bit = 1 << w
-            if used & bit or adj_b[w] & used != need:
+            if used & bit or adj_t[w] & mask != need:
                 continue
             image[u] = bit
-            if backtrack(i + 1, used | bit, placed_a | (1 << u)):
+            if backtrack(i + 1, used | bit, placed | (1 << u)):
                 return True
         return False
 
-    return backtrack(0, 0, 0)
+    backtrack(0, 0, 0)
+    return total
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Attribute-preserving isomorphism test (exact backtracking; small graphs)."""
-    return _isomorphic(g.adjacency, g.attributes, h.adjacency, h.attributes)
+    return bool(_embeddings(g.adjacency, g.attributes, h.adjacency, h.attributes,
+                            True, first=True))
 
 
 @lru_cache(maxsize=1 << 16)

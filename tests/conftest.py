@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -64,7 +64,10 @@ def all_graphs(k: int):
 
 
 @st.composite
-def graph_strategy(draw, min_nodes: int = 0, max_nodes: int = 7, attributed: bool = False):
+def graph_strategy(
+    draw, min_nodes: int = 0, max_nodes: int = 7, attributed: bool = False,
+    max_attribute: int = 3,
+):
     n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
@@ -75,10 +78,31 @@ def graph_strategy(draw, min_nodes: int = 0, max_nodes: int = 7, attributed: boo
             rows[v] |= 1 << u
     if attributed:
         attrs = tuple(draw(st.lists(
-            st.integers(min_value=0, max_value=3), min_size=n, max_size=n)))
+            st.integers(min_value=0, max_value=max_attribute), min_size=n, max_size=n)))
     else:
         attrs = (0,) * n
     return Graph(n, tuple(rows), attrs)
+
+
+def reference_embeddings(p: Graph, t: Graph, induced: bool) -> int:
+    """Matcher oracle: attribute-preserving injective maps of p's nodes into t's.
+
+    Tries every injective map (``itertools.permutations``) with no pruning.
+    An induced map keeps every node pair's edge state; a non-induced one
+    only has to send each p-edge onto a t-edge.
+    """
+    pairs = list(combinations(range(p.node_count), 2))
+    total = 0
+    for image in permutations(range(t.node_count), p.node_count):
+        if any(p.attributes[u] != t.attributes[w] for u, w in enumerate(image)):
+            continue
+        if all(
+            (t.has_edge(image[u], image[v]) == p.has_edge(u, v)) if induced
+            else (t.has_edge(image[u], image[v]) or not p.has_edge(u, v))
+            for u, v in pairs
+        ):
+            total += 1
+    return total
 
 
 def _reference_wl_rounds(g: Graph):

@@ -510,13 +510,13 @@ class TestExperiment:
             radii = family_covering_sequence(patterns)
             spec = experiment_spec(tmp_path, generator=generator, trials=trials)
         results = []
-        exact_test = cli._isomorphic
+        exact_test = cli._embeddings
 
-        def recorded(*args):
-            results.append(exact_test(*args))
+        def recorded(*args, **kwargs):
+            results.append(bool(exact_test(*args, **kwargs)))
             return results[-1]
 
-        monkeypatch.setattr(cli, "_isomorphic", recorded)
+        monkeypatch.setattr(cli, "_embeddings", recorded)
         encoded = count_calls(monkeypatch, "rnp_encode_nodes")
         code, text = run(["experiment", spec])
         assert code == 0
@@ -593,9 +593,10 @@ class TestMemoKey:
             return tuple(sorted(cli._node_invariants(x)))
 
         def hit(x, y):
-            return cli._isomorphic(
-                x.adjacency, cli._node_invariants(x), y.adjacency, cli._node_invariants(y)
-            )
+            return bool(cli._embeddings(
+                x.adjacency, cli._node_invariants(x), y.adjacency, cli._node_invariants(y),
+                True, first=True,
+            ))
 
         copy = permuted(g, shuffled(n, seed))
         assert key(copy) == key(g)

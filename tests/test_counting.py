@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnpkit import (
     Graph,
@@ -25,7 +26,13 @@ from rnpkit import (
     two_triangles,
 )
 
-from conftest import all_graphs, graph_strategy, seeded_graph, seeded_permutation
+from conftest import (
+    all_graphs,
+    graph_strategy,
+    reference_embeddings,
+    seeded_graph,
+    seeded_permutation,
+)
 
 
 def comb(n, k):
@@ -35,8 +42,13 @@ def comb(n, k):
 
 
 def noninduced_by_enumeration(g: Graph, h: Graph) -> int:
-    """Independent oracle: enumerate vertex subsets and edge subsets."""
+    """Independent oracle: enumerate vertex subsets and edge subsets.
+
+    Each candidate is compared by canonical code, whose search shares no
+    code with the matcher behind count_noninduced.
+    """
     k = h.node_count
+    target = canonical_code(h)
     total = 0
     for subset in combinations(range(g.node_count), k):
         sub, _ = induced_subgraph(g, subset)
@@ -44,7 +56,7 @@ def noninduced_by_enumeration(g: Graph, h: Graph) -> int:
         for picks in range(1 << len(edges)):
             chosen = [e for i, e in enumerate(edges) if (picks >> i) & 1]
             candidate = Graph.from_edges(k, chosen, sub.attributes)
-            if are_isomorphic(candidate, h):
+            if canonical_code(candidate) == target:
                 total += 1
     return total
 
@@ -153,6 +165,61 @@ class TestAutomorphisms:
         assert automorphism_count(g) == 2
 
 
+def _edge_count_partners(k):
+    """Each labelled k-node graph with two others of its edge count."""
+    by_edges: dict[int, list[Graph]] = {}
+    for g in all_graphs(k):
+        by_edges.setdefault(g.edge_count, []).append(g)
+    for group in by_edges.values():
+        for i, g in enumerate(group):
+            yield g, (group[(i + 1) % len(group)], group[(i + 7) % len(group)])
+
+
+class TestMatcherAgainstPermutations:
+    """automorphism_count, are_isomorphic and count_noninduced share one
+    backtracking matcher; a permutation oracle with no pruning checks it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_labelled_graph(self, k):
+        for g, partners in _edge_count_partners(k):
+            assert automorphism_count(g) == reference_embeddings(g, g, True)
+            for h in partners:
+                assert are_isomorphic(g, h) == (reference_embeddings(g, h, True) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph_strategy(max_nodes=6, attributed=True, max_attribute=1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_attributed_graphs(self, g, seed, flip):
+        n = g.node_count
+        assert automorphism_count(g) == reference_embeddings(g, g, True)
+        rows = list(g.adjacency)
+        pairs = list(combinations(range(n), 2))
+        if pairs:  # one node pair's edge state flipped
+            u, v = pairs[flip % len(pairs)]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        perm = seeded_permutation(n, seed)
+        others = [
+            permuted(g, perm),
+            permuted(Graph(n, tuple(rows), g.attributes), perm),
+            Graph(n, g.adjacency, tuple(g.attributes[v] for v in perm)),
+        ]
+        for h in others:
+            assert are_isomorphic(g, h) == (reference_embeddings(g, h, True) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph_strategy(max_nodes=6, attributed=True, max_attribute=1),
+        graph_strategy(max_nodes=4, attributed=True, max_attribute=1),
+    )
+    def test_noninduced_counts(self, g, h):
+        expected = reference_embeddings(h, g, False) // reference_embeddings(h, h, True)
+        assert count_noninduced(g, h) == expected
+
+
 class TestPatternHistogram:
     def test_k4_triangles(self):
         hist = count_all_patterns(complete(4), 3)
@@ -205,6 +272,7 @@ class TestEdgeSupersetExpansion:
         assert len(corpus) == 156
         for h in [path(3), star(3), cycle(4)]:
             k = h.node_count
+            target = canonical_code(h)  # independent of count_noninduced
             coefficients: dict[bytes, int] = {}
             supersets: dict[bytes, Graph] = {}
             all_pairs = list(combinations(range(k), 2))
@@ -220,7 +288,7 @@ class TestEdgeSupersetExpansion:
                 c = 0
                 for picks in range(1 << len(edges)):
                     chosen = [e for i, e in enumerate(edges) if (picks >> i) & 1]
-                    if are_isomorphic(Graph.from_edges(k, chosen), h):
+                    if canonical_code(Graph.from_edges(k, chosen)) == target:
                         c += 1
                 coefficients[code] = c
             for g in corpus:
