@@ -216,7 +216,7 @@ def _load_experiment_spec(path: str) -> dict:
             spec = json.load(fh)
     except OSError as exc:
         raise UserError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, huge ints, deep nesting
         raise UserError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(spec, dict):
         raise UserError(f"{path}: spec must be a JSON object")

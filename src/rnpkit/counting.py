@@ -22,6 +22,7 @@ from .graphs import (
     UnsupportedSizeError,
     _canonical_code,
     _embeddings,
+    _induced_rows,
     canonical_code,
     is_connected,
 )
@@ -49,17 +50,6 @@ def _check_host_size(g: Graph) -> None:
 def _check_sizes(g: Graph, h: Graph) -> None:
     _check_pattern_size(h)
     _check_host_size(g)
-
-
-def _induced_rows(g: Graph, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    rows = []
-    for u in nodes:
-        row = 0
-        adj_u = g.adjacency[u]
-        for j, v in enumerate(nodes):
-            row |= ((adj_u >> v) & 1) << j
-        rows.append(row)
-    return tuple(rows)
 
 
 def count_induced(g: Graph, h: Graph) -> int:

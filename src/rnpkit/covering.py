@@ -16,9 +16,9 @@ from .graphs import (
     INFINITY,
     Graph,
     UnsupportedSizeError,
-    all_pairs_shortest_paths,
     bfs_layers,
     bits_of,
+    component_mask,
     is_connected,
 )
 
@@ -149,61 +149,50 @@ def minimum_spanning_tree(
     return tuple(tree)
 
 
-def _tree_eccentricities(tree_adj: dict[int, set[int]]) -> dict[int, int]:
-    rows = [sum(1 << w for w in tree_adj.get(u, ())) for u in range(max(tree_adj) + 1)]
-    within = sum(1 << v for v in tree_adj)
-    return {v: len(bfs_layers(tuple(rows), within, v)) - 1 for v in tree_adj}
-
-
 def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Covering sequence with the smallest feasible first radius.
 
-    Picks as the first node a minimum-eccentricity node that can be a leaf
-    of a spanning tree (forced by weighting its incident edges heavily in
-    an MST), then peels leaves off the remaining tree, recording each
-    leaf's in-tree eccentricity.  Tree distances upper-bound distances in
-    the induced subgraphs, so the output always validates.
+    The first node must leave the rest connected, so it is the non-cut
+    node with the least (eccentricity, index), and its radius is its
+    eccentricity.  Non-cut nodes are exactly the nodes some spanning tree
+    keeps as a leaf: a Kruskal run that takes u's edges last, after every
+    other edge in (u, v) order, gives u one tree edge per component of
+    h - u.  That tree minus the first node's edge spans the rest, whose
+    leaves are then peeled least (in-tree eccentricity, index) first.
+    Tree distances upper-bound distances in the induced subgraphs, so the
+    output always validates.
     """
     n = h.node_count
     if n < 2:
         raise ValueError("pattern must have at least 2 nodes")
     if not is_connected(h):
         raise ValueError("pattern must be connected")
-    dist = all_pairs_shortest_paths(h)
-    ecc = [int(max(row)) for row in dist]
-    tau = n - 1
-    first = None
-    tree: tuple[tuple[int, int], ...] = ()
-    for u in sorted(range(n), key=lambda v: (ecc[v], v)):
-        tree = minimum_spanning_tree(
-            h, lambda a, b: 1 + tau * ((a == u) or (b == u))
-        )
-        if sum(1 for e in tree if u in e) == 1:
-            first = u
-            break
-    # a connected graph always has a node that some spanning tree keeps as
-    # a leaf (any non-cut node), so the loop cannot fall through
-    assert first is not None
-    radii = [ecc[first]]
-    order = [first]
-    tree_adj: dict[int, set[int]] = {v: set() for v in range(n) if v != first}
-    for u, v in tree:
-        if first in (u, v):
-            continue
-        tree_adj[u].add(v)
-        tree_adj[v].add(u)
-    while len(tree_adj) > 1:
-        tree_ecc = _tree_eccentricities(tree_adj)
-        leaf = min(
-            (v for v in tree_adj if len(tree_adj[v]) <= 1),
-            key=lambda v: (tree_ecc[v], v),
-        )
-        radii.append(tree_ecc[leaf])
-        order.append(leaf)
-        for w in tree_adj.pop(leaf):
-            tree_adj[w].discard(leaf)
-    order.append(next(iter(tree_adj)))
-    return tuple(radii), tuple(order)
+    adjacency = h.adjacency
+    full = (1 << n) - 1
+
+    def non_cut(u: int) -> bool:
+        rest = full & ~(1 << u)
+        return component_mask(adjacency, rest, (u + 1) % n) == rest
+
+    steps = [min(
+        (len(bfs_layers(adjacency, full, v)) - 1, v) for v in range(n) if non_cut(v)
+    )]
+    first = steps[0][1]
+    tree = [0] * n
+    for u, v in minimum_spanning_tree(h, lambda a, b: first in (a, b)):
+        if first not in (u, v):
+            tree[u] |= 1 << v
+            tree[v] |= 1 << u
+    mask = full & ~(1 << first)
+    while mask & (mask - 1):
+        steps.append(min(
+            (len(bfs_layers(tree, mask, v)) - 1, v)
+            for v in bits_of(mask)
+            if (tree[v] & mask).bit_count() == 1
+        ))
+        mask &= ~(1 << steps[-1][1])
+    radii, order = zip(*steps)
+    return radii, order + (mask.bit_length() - 1,)
 
 
 def family_covering_sequence(patterns: Sequence[Graph]) -> tuple[int, ...]:

@@ -178,13 +178,9 @@ def rnp_encode_nodes(
         except KeyError as exc:
             raise ValueError(f"features missing an entry for node {exc.args[0]}") from None
     stats = _Stats(len(radii))
-    full = (1 << g.node_count) - 1
-    if g.node_count == 0:
-        encodings: dict[int, Encoding] = {}
-    else:
-        encodings = _encode_context(
-            g.adjacency, full, feats, radii, 0, stats, _BitTable()
-        )
+    encodings = _encode_context(
+        g.adjacency, (1 << g.node_count) - 1, feats, radii, 0, stats, _BitTable()
+    )
     counter = UpdateCounter(
         sum(stats.level_invocations),
         tuple(stats.level_max),

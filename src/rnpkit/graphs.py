@@ -154,19 +154,24 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int,
     selected = sorted(set(members))
     for v in selected:
         _check_node(g, v)
-    index_map = {u: i for i, u in enumerate(selected)}
-    rows = []
-    for u in selected:
-        row = 0
-        for w in bits_of(g.adjacency[u]):
-            if w in index_map:
-                row |= 1 << index_map[w]
-        rows.append(row)
     attrs = tuple(g.attributes[u] for u in selected)
-    return Graph(len(selected), tuple(rows), attrs), index_map
+    sub = Graph(len(selected), _induced_rows(g, selected), attrs)
+    return sub, {u: i for i, u in enumerate(selected)}
 
 
-def bfs_layers(adjacency: tuple[int, ...], within: int, v: int) -> list[int]:
+def _induced_rows(g: Graph, nodes: Sequence[int]) -> tuple[int, ...]:
+    # Adjacency rows of the subgraph induced on ``nodes``; row i is nodes[i].
+    rows = []
+    for u in nodes:
+        row = 0
+        adj_u = g.adjacency[u]
+        for j, v in enumerate(nodes):
+            row |= ((adj_u >> v) & 1) << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def bfs_layers(adjacency: Sequence[int], within: int, v: int) -> list[int]:
     """Masks of the nodes at distance 0, 1, 2, ... from ``v`` inside ``within``."""
     layers = [1 << v]
     seen = frontier = 1 << v

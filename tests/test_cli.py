@@ -221,6 +221,17 @@ class TestComplexityAndEncode:
         assert payload["bound"] == 150
         assert payload["updates"] <= payload["bound"]
 
+    def test_empty_graph_payloads(self, tmp_path):
+        g = write_graph(tmp_path, "empty.txt", Graph(0, (), ()))
+        assert run(["encode", g, "--radii", "2,1"]) == (0, (
+            '{"schema": "rnp-kit/1", "digest": '
+            '"3ac029a1aea29a6bf6c04354104eba0b4497837397e2bb5c0629b7c5577199f7", '
+            '"updates": 0, "bound": 0}\n'
+        ))
+        assert run(["complexity", g, "--radii", "2,1"]) == (
+            0, '{"schema": "rnp-kit/1", "updates": 0, "bound": 0, "ratio": 0.0}\n'
+        )
+
     def test_encode_payload(self, tmp_path):
         g = write_graph(tmp_path, "c6.txt", cycle(6))
         code, a = run(["encode", g, "--radii", "1,1"])
@@ -378,9 +389,14 @@ class TestExperiment:
 
     def test_malformed_json_is_user_error(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _ = run(["experiment", str(bad)])
-        assert code == 2
+        for content in (
+            b"{not json",
+            b'{"trials": "\xff"}',  # not UTF-8
+            b"[" * 200_000,  # nesting deeper than the parser's recursion limit
+            b'{"trials": ' + b"9" * 5_000 + b"}",  # above Python's digit limit
+        ):
+            bad.write_bytes(content)
+            assert run(["experiment", str(bad)]) == (2, ""), content[:20]
 
     def test_explicit_radii(self, tmp_path):
         import csv

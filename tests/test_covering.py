@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rnpkit import (
@@ -14,12 +16,13 @@ from rnpkit import (
     min_r1_covering_sequence,
     minimum_spanning_tree,
     path,
+    permuted,
     star,
     two_triangles,
     SplitMix64,
 )
 
-from conftest import seeded_connected_graph
+from conftest import seeded_connected_graph, seeded_permutation
 
 
 class TestCoveringDistance:
@@ -178,6 +181,35 @@ class TestMinR1:
             radii, order = min_r1_covering_sequence(g)
             assert is_vertex_covering_sequence(g, order, radii)
             assert radii[0] <= n - 1
+
+
+def _min_r1_corpus():
+    # every connected class with 2-6 nodes, as enumerated and under three
+    # seeded relabellings, then seeded connected ER graphs with 2-12 nodes
+    for k in range(2, 7):
+        for i, g in enumerate(enumerate_connected_graphs(k)):
+            yield g
+            for j in range(3):
+                yield permuted(g, seeded_permutation(k, 1000 * k + 10 * i + j))
+    rng = SplitMix64(9)
+    for _ in range(300):
+        n = 2 + rng.below(11)
+        yield seeded_connected_graph(n, rng.next_u64(), p=0.2 + 0.6 * rng.random())
+
+
+class TestMinR1Pinned:
+    # sha256 of every (radii, order) over the corpus: pins the exact first
+    # node, peel order and tie-breaks, not just validity
+    DIGEST = "b17154f04bc305c0b0a47b5149b8f5bdf31d87b450133e4230eb5b05405f7967"
+
+    def test_output_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for g in _min_r1_corpus():
+            digest.update(repr((g.adjacency, min_r1_covering_sequence(g))).encode())
+            count += 1
+        assert count == 4 * 142 + 300
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestFamilySequence:

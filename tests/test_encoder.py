@@ -149,6 +149,11 @@ class TestUpdateCounting:
         _, counter = rnp_encode_nodes(g, (1,))
         assert counter.invocations == update_bound(g, (1,)) == 5
 
+    def test_empty_graph(self):
+        empty = Graph(0, (), ())
+        assert rnp_encode_nodes(empty, (2, 1)) == ({}, UpdateCounter(0, (0, 0), (0, 0)))
+        assert update_bound(empty, (2, 1)) == 0
+
     def test_k4_bound_value(self):
         assert update_bound(complete(4), (1, 1)) == 64
 
