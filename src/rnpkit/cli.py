@@ -83,8 +83,11 @@ def _write_text(text: str, path: str | None, out) -> None:
     if path is None:
         out.write(text)
     else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UserError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_gen(args, out) -> int:

@@ -7,7 +7,8 @@ injective-homomorphism count divided by the pattern's automorphism
 count.  One backtracking matcher, ``graphs._embeddings``, tests each
 subset for isomorphism and counts both the homomorphisms and the
 automorphisms.  ``PatternCensus`` counts a fixed list of patterns in
-many hosts from one connected-subset enumeration per pattern size, and
+many hosts from one connected-subset enumeration per pattern size,
+weighing each labelled subgraph it finds with the same matcher, and
 tests check it against the oracles.  Attribute matching is exact
 equality throughout.
 """
@@ -23,7 +24,6 @@ from .graphs import (
     _canonical_code,
     _embeddings,
     _induced_rows,
-    canonical_code,
     is_connected,
 )
 
@@ -116,9 +116,9 @@ def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:
     return histogram
 
 
-def _connected_census(g: Graph, k: int) -> tuple[dict[bytes, int], dict[bytes, Graph]]:
-    """Histogram of g's connected k-node induced subgraphs by canonical code,
-    with one representative graph per class.
+def _connected_census(g: Graph, k: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Tally of g's connected k-node induced subgraphs, keyed by the labelled
+    subgraph (rows, attrs) with its nodes in the order ESU adds them.
 
     ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
     each connected k-subset exactly once: a subset grows from its smallest
@@ -127,21 +127,14 @@ def _connected_census(g: Graph, k: int) -> tuple[dict[bytes, int], dict[bytes, G
     """
     adjacency = g.adjacency
     attributes = g.attributes
-    histogram: dict[bytes, int] = {}
-    representatives: dict[bytes, Graph] = {}
+    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     nodes: list[int] = []
 
     def extend(extension: int, closed: int, above: int) -> None:
         # closed: the subset and all its neighbours
         if len(nodes) == k:
-            subset = tuple(nodes)
-            rows = _induced_rows(g, subset)
-            attrs = tuple(attributes[v] for v in subset)
-            code = _canonical_code(rows, attrs)
-            seen = histogram.get(code, 0)
-            if not seen:
-                representatives[code] = Graph(k, rows, attrs)
-            histogram[code] = seen + 1
+            key = (_induced_rows(g, nodes), tuple(attributes[v] for v in nodes))
+            tally[key] = tally.get(key, 0) + 1
             return
         while extension:
             low = extension & -extension
@@ -156,21 +149,22 @@ def _connected_census(g: Graph, k: int) -> tuple[dict[bytes, int], dict[bytes, G
         nodes.append(v)
         extend(adjacency[v] & above, adjacency[v] | (1 << v), above)
         nodes.pop()
-    return histogram, representatives
+    return tally
 
 
 class PatternCensus:
     """Counts of a fixed list of patterns in many hosts, in one mode.
 
-    A connected pattern of 1 to MAX_HISTOGRAM_PATTERN_NODES nodes can only
-    match a connected vertex subset of its own size, so each such size is
-    counted by one ESU census of the host, shared by every pattern of
-    that size.  In induced mode a pattern's count is its class's entry;
-    in non-induced mode it is the edge-superset sum over the classes K
-    found, hist[K] * count_noninduced(rep_K, pattern), with each
-    (class, pattern) coefficient memoized for the life of the object.
-    Larger patterns (whose canonical codes get costly) and disconnected
-    or empty ones are counted by the oracles.
+    A connected pattern h of 1 to MAX_HISTOGRAM_PATTERN_NODES nodes can
+    only match a connected vertex subset of its own size, so one ESU
+    census per size serves every pattern of that size.  h's count is the
+    sum over the census's labelled subgraphs K of tally[K] * term(K, h),
+    h's maps onto K (induced or not, as the mode) over its automorphism
+    count: 1 or 0 as K is or is not isomorphic to h when induced, h's
+    non-induced count in K otherwise.  Terms are kept per K for the life
+    of the object; the size cap bounds them (at most 1, 1, 4, 38 and 728
+    labelled connected graphs on 1 to 5 nodes for an unattributed host).
+    Other patterns go to the oracles.
     """
 
     def __init__(self, patterns: Sequence[Graph], mode: str = "induced"):
@@ -180,15 +174,19 @@ class PatternCensus:
             _check_pattern_size(h)
         self._patterns = tuple(patterns)
         self._induced = mode == "induced"
-        # pattern size -> [(pattern index, canonical code)]
-        self._by_size: dict[int, list[tuple[int, bytes]]] = {}
+        self._oracle_count = count_induced if self._induced else count_noninduced
+        # pattern size -> indices of the patterns the census counts
+        self._by_size: dict[int, list[int]] = {}
+        self._automorphisms: dict[int, int] = {}
         self._oracle: list[int] = []
         for i, h in enumerate(self._patterns):
             if 1 <= h.node_count <= MAX_HISTOGRAM_PATTERN_NODES and is_connected(h):
-                self._by_size.setdefault(h.node_count, []).append((i, canonical_code(h)))
+                self._by_size.setdefault(h.node_count, []).append(i)
+                self._automorphisms[i] = automorphism_count(h)
             else:
                 self._oracle.append(i)
-        self._coefficients: dict[tuple[bytes, int], int] = {}
+        # labelled subgraph (rows, attrs) -> one term per pattern of its size
+        self._terms: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
     def counts(self, g: Graph) -> tuple[int, ...]:
         """One count per pattern, equal to count_induced / count_noninduced."""
@@ -196,24 +194,17 @@ class PatternCensus:
             _check_host_size(g)
         counts = [0] * len(self._patterns)
         for k, members in self._by_size.items():
-            histogram, representatives = _connected_census(g, k)
-            for i, pattern_code in members:
-                if self._induced:
-                    counts[i] = histogram.get(pattern_code, 0)
-                else:
-                    counts[i] = sum(
-                        seen * self._coefficient(code, representatives[code], i)
-                        for code, seen in histogram.items()
-                    )
-        oracle = count_induced if self._induced else count_noninduced
+            for key, seen in _connected_census(g, k).items():
+                terms = self._terms.get(key)
+                if terms is None:
+                    terms = self._terms[key] = tuple(self._term(i, key) for i in members)
+                for i, term in zip(members, terms):
+                    counts[i] += seen * term
         for i in self._oracle:
-            counts[i] = oracle(g, self._patterns[i])
+            counts[i] = self._oracle_count(g, self._patterns[i])
         return tuple(counts)
 
-    def _coefficient(self, code: bytes, representative: Graph, i: int) -> int:
-        key = (code, i)
-        value = self._coefficients.get(key)
-        if value is None:
-            value = count_noninduced(representative, self._patterns[i])
-            self._coefficients[key] = value
-        return value
+    def _term(self, i: int, key: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        h = self._patterns[i]
+        embeddings = _embeddings(h.adjacency, h.attributes, *key, self._induced)
+        return embeddings // self._automorphisms[i]

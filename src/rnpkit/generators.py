@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, UnsupportedSizeError, bits_of, canonical_code, component_mask
+from .graphs import Graph, UnsupportedSizeError, are_isomorphic, bits_of, component_mask
 from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, _MIX_MUL1, _MIX_MUL2, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
@@ -257,7 +257,8 @@ def pattern(name: str, size: int | None = None):
 
 @lru_cache(maxsize=None)
 def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of connected k-node graphs."""
+    """The first labelled graph, in edge-bitmask order, of each isomorphism
+    class of connected k-node graphs."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > MAX_ENUMERATION_NODES:
@@ -266,7 +267,8 @@ def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
         )
     pairs = list(combinations(range(k), 2))
     full = (1 << k) - 1
-    seen: dict[bytes, Graph] = {}
+    classes: list[Graph] = []
+    by_degrees: dict[tuple[int, ...], list[Graph]] = {}
     for bitmask in range(1 << len(pairs)):
         rows = [0] * k
         for i, (u, v) in enumerate(pairs):
@@ -276,5 +278,8 @@ def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
         if k > 1 and component_mask(tuple(rows), full, 0) != full:
             continue
         g = Graph(k, tuple(rows), (0,) * k)
-        seen.setdefault(canonical_code(g), g)
-    return tuple(seen.values())
+        bucket = by_degrees.setdefault(tuple(sorted(map(int.bit_count, rows))), [])
+        if not any(are_isomorphic(rep, g) for rep in bucket):
+            bucket.append(g)
+            classes.append(g)
+    return tuple(classes)

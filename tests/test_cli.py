@@ -115,6 +115,14 @@ class TestGen:
         assert code == 0 and text == ""
         assert parse_graph(target.read_text()).node_count == 5
 
+    @pytest.mark.parametrize("target", ["missing/g.txt", "."])
+    def test_out_unwritable(self, tmp_path, capsys, target):
+        # a missing parent directory, and a directory as the file
+        out = str(tmp_path / target)
+        code, text = run(["gen", "er", "--n", "5", "--p", "0.5", "--seed", "1", "--out", out])
+        assert code == 2 and text == ""
+        assert out in capsys.readouterr().err
+
 
 class TestCover:
     def test_triangle(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rnpkit import (
     UnsupportedSizeError,
     are_isomorphic,
+    canonical_code,
     complete,
     count_induced,
     cycle,
@@ -328,15 +329,18 @@ class TestPatterns:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("k,expected", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)])
+    @pytest.mark.parametrize(
+        "k,expected", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]
+    )
     def test_class_counts(self, k, expected):
         assert len(enumerate_connected_graphs(k)) == expected
 
     def test_all_connected_and_distinct(self):
-        graphs = enumerate_connected_graphs(4)
-        assert all(is_connected(g) for g in graphs)
-        for a, b in combinations(graphs, 2):
-            assert not are_isomorphic(a, b)
+        # distinct by canonical code, since the matcher builds the list
+        for k in range(1, 7):
+            graphs = enumerate_connected_graphs(k)
+            assert all(is_connected(g) for g in graphs)
+            assert len({canonical_code(g) for g in graphs}) == len(graphs)
 
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
