@@ -3,11 +3,14 @@ encoding, baseline comparison, and batch experiments.
 
 Every command is deterministic given its arguments and seeds; rerunning
 produces byte-identical output.  JSON outputs carry a ``schema`` field
-("rnp-kit/1").  Exit codes: 0 success, 1 internal error, 2 user error.
-Only typed input errors (``UserError``, ``ParseError``,
-``UnsupportedSizeError``) exit 2; commands wrap the ``ValueError`` a
-library call raises for bad user input as ``UserError``, so any other
-exception is a bug and exits 1.
+("rnp-kit/1").  Exit codes: 0 success, 1 internal error, 2 user error,
+141 output closed early.  Only typed input errors (``UserError``,
+``ParseError``, ``UnsupportedSizeError``) exit 2; commands wrap the
+``ValueError`` a library call raises for bad user input as ``UserError``,
+so any other exception is a bug and exits 1.  When the reader of the
+output goes away (``rnpkit experiment spec.json | head -2``), the command
+stops quietly with 141, the status a shell reports for a process ended by
+SIGPIPE (128 + 13).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -49,6 +53,7 @@ SCHEMA = "rnp-kit/1"
 
 EXIT_INTERNAL_ERROR = 1
 EXIT_USER_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class UserError(Exception):
@@ -456,7 +461,17 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
-        return _DISPATCH[args.command](args, out)
+        code = _DISPATCH[args.command](args, out)
+        if out is sys.stdout:
+            out.flush()  # so that a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # The interpreter flushes stdout at exit; let that write go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UserError, ParseError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

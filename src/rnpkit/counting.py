@@ -24,6 +24,7 @@ from .graphs import (
     _canonical_code,
     _embeddings,
     _induced_rows,
+    bits_of,
     is_connected,
 )
 
@@ -118,38 +119,67 @@ def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:
 
 def _connected_census(g: Graph, k: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Tally of g's connected k-node induced subgraphs, keyed by the labelled
-    subgraph (rows, attrs) with its nodes in the order ESU adds them.
+    subgraph with its nodes in the order ESU adds them: (back-masks, attrs),
+    where the back-mask of position i holds the earlier positions adjacent
+    to it (``_key_rows`` turns it back into adjacency rows).
 
     ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
     each connected k-subset exactly once: a subset grows from its smallest
     node, and each added node brings in only its neighbours above that
-    node which are not yet in or next to the subset.
+    node which are not yet in or next to the subset.  The key grows with
+    the subset, one back-mask per added node.
     """
     adjacency = g.adjacency
     attributes = g.attributes
     tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    nodes: list[int] = []
+    position = [0] * g.node_count  # a subset node -> its bit in the back-masks
 
-    def extend(extension: int, closed: int, above: int) -> None:
+    def extend(extension: int, closed: int, above: int, members: int,
+               back: tuple[int, ...], attrs: tuple[int, ...]) -> None:
         # closed: the subset and all its neighbours
-        if len(nodes) == k:
-            key = (_induced_rows(g, nodes), tuple(attributes[v] for v in nodes))
-            tally[key] = tally.get(key, 0) + 1
-            return
+        last = len(back) == k - 1
+        bit = 1 << len(back)
         while extension:
             low = extension & -extension
             extension ^= low
             w = low.bit_length() - 1
-            nodes.append(w)
-            extend(extension | (adjacency[w] & ~closed & above), closed | adjacency[w], above)
-            nodes.pop()
+            adj_w = adjacency[w]
+            # w's back-mask; bits_of inlined, as a call per added node
+            # made the census about 20% slower on 14-node hosts
+            mask = 0
+            adjacent = adj_w & members
+            while adjacent:
+                low_u = adjacent & -adjacent
+                mask |= position[low_u.bit_length() - 1]
+                adjacent ^= low_u
+            if last:
+                key = (back + (mask,), attrs + (attributes[w],))
+                tally[key] = tally.get(key, 0) + 1
+            else:
+                position[w] = bit
+                extend(extension | (adj_w & ~closed & above), closed | adj_w, above,
+                       members | low, back + (mask,), attrs + (attributes[w],))
 
+    if k == 1:
+        for a in attributes:
+            key = ((0,), (a,))
+            tally[key] = tally.get(key, 0) + 1
+        return tally
     for v in range(g.node_count):
+        position[v] = 1
         above = -1 << (v + 1)
-        nodes.append(v)
-        extend(adjacency[v] & above, adjacency[v] | (1 << v), above)
-        nodes.pop()
+        extend(adjacency[v] & above, adjacency[v] | (1 << v), above, 1 << v,
+               (0,), (attributes[v],))
     return tally
+
+
+def _key_rows(back: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency rows of the labelled graph whose back-masks are ``back``."""
+    rows = list(back)
+    for j, mask in enumerate(back):
+        for i in bits_of(mask):
+            rows[i] |= 1 << j
+    return tuple(rows)
 
 
 class PatternCensus:
@@ -161,9 +191,10 @@ class PatternCensus:
     sum over the census's labelled subgraphs K of tally[K] * term(K, h),
     h's maps onto K (induced or not, as the mode) over its automorphism
     count: 1 or 0 as K is or is not isomorphic to h when induced, h's
-    non-induced count in K otherwise.  Terms are kept per K for the life
-    of the object; the size cap bounds them (at most 1, 1, 4, 38 and 728
-    labelled connected graphs on 1 to 5 nodes for an unattributed host).
+    non-induced count in K otherwise.  Terms are kept per K, under its
+    census key, for the life of the object; the size cap bounds them (at
+    most 1, 1, 4, 38 and 728 labelled connected graphs on 1 to 5 nodes for
+    an unattributed host).
     Other patterns go to the oracles.
     """
 
@@ -185,7 +216,7 @@ class PatternCensus:
                 self._automorphisms[i] = automorphism_count(h)
             else:
                 self._oracle.append(i)
-        # labelled subgraph (rows, attrs) -> one term per pattern of its size
+        # census key (back-masks, attrs) -> one term per pattern of its size
         self._terms: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
     def counts(self, g: Graph) -> tuple[int, ...]:
@@ -197,14 +228,15 @@ class PatternCensus:
             for key, seen in _connected_census(g, k).items():
                 terms = self._terms.get(key)
                 if terms is None:
-                    terms = self._terms[key] = tuple(self._term(i, key) for i in members)
+                    subgraph = (_key_rows(key[0]), key[1])
+                    terms = self._terms[key] = tuple(self._term(i, subgraph) for i in members)
                 for i, term in zip(members, terms):
                     counts[i] += seen * term
         for i in self._oracle:
             counts[i] = self._oracle_count(g, self._patterns[i])
         return tuple(counts)
 
-    def _term(self, i: int, key: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    def _term(self, i: int, subgraph: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         h = self._patterns[i]
-        embeddings = _embeddings(h.adjacency, h.attributes, *key, self._induced)
+        embeddings = _embeddings(h.adjacency, h.attributes, *subgraph, self._induced)
         return embeddings // self._automorphisms[i]

@@ -95,7 +95,7 @@ class _BitTable(dict):
     __slots__ = ()
 
     def __missing__(self, mask: int) -> list[int]:
-        bits = self[mask] = list(bits_of(mask))
+        bits = self[mask] = bits_of(mask)
         return bits
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 INFINITY = math.inf
 
@@ -31,12 +31,38 @@ class UnsupportedSizeError(ValueError):
     """Input exceeds the size limit of an exact small-graph routine."""
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
+    # byte value -> the positions of its set bits at byte ``offset`` of a mask;
+    # the bytes with a bit set are those without it, each extended by its position.
+    table: list[tuple[int, ...]] = [()]
+    for position in range(8 * offset, 8 * offset + 8):
+        table += [bits + (position,) for bits in table]
+    return tuple(table)
+
+
+# One table per byte offset of a 64-bit mask: every node set of a counting
+# host (at most 64 nodes) is looked up a byte at a time.
+_BYTE_TABLES = tuple(_byte_table(offset) for offset in range(8))
+
+
+def bits_of(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` (nonnegative, any width), ascending."""
+    positions: list[int] = []
+    if mask.bit_length() > 64:
+        # Wider than the tables, and often sparse: one step per set bit.
+        while mask:
+            low = mask & -mask
+            positions.append(low.bit_length() - 1)
+            mask ^= low
+        return positions
+    offset = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        byte = mask & 255
+        if byte:
+            positions += _BYTE_TABLES[offset][byte]
+        mask >>= 8
+        offset += 1
+    return positions
 
 
 def component_mask(adjacency: tuple[int, ...], within: int, v: int) -> int:
@@ -100,7 +126,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
+    def neighbors(self, v: int) -> list[int]:
         return bits_of(self.adjacency[v])
 
     def edges(self) -> list[tuple[int, int]]:

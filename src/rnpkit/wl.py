@@ -50,7 +50,7 @@ from .graphs import Graph, bits_of
 
 def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(certificate, stable colors, rounds run) of exact color refinement."""
-    neighbors = [list(bits_of(row)) for row in g.adjacency]
+    neighbors = [bits_of(row) for row in g.adjacency]
     colors = list(g.attributes)
     certificate = [g.node_count, *sorted(colors)]
     classes = len(set(colors))

@@ -717,6 +717,41 @@ class TestExitCodes:
         assert (code, text) == (2, "")
 
 
+class TestBrokenPipe:
+    @pytest.mark.parametrize("command, lines", [("experiment", 2), ("gen", 0)])
+    def test_closed_output_ends_quietly(self, tmp_path, command, lines):
+        # Large output breaks the pipe mid-run, small output only at the
+        # final flush: both end with the SIGPIPE status and a silent stderr.
+        spec = experiment_spec(
+            tmp_path, trials=8000, generator={"kind": "er", "n": 6, "p": 0.5},
+            patterns=[], radii=[1], checks=[],
+        )
+        argv = {
+            "experiment": ["experiment", spec],
+            "gen": ["gen", "er", "--n", "12", "--p", "0.4", "--seed", "13"],
+        }[command]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rnpkit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env("0"),
+        )
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
+        assert all(line.endswith(b"\n") for line in head)
+
+    def test_broken_output_stream_in_process(self, tmp_path, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        g = write_graph(tmp_path, "k3.txt", complete(3))
+        assert main(["encode", g, "--radii", "1"], out=ClosedPipe()) == 141
+        assert capsys.readouterr().err == ""
+
+
 class TestSubprocessDeterminism:
     def test_gen_bytes_identical_across_processes(self):
         cmd = [sys.executable, "-m", "rnpkit.cli", "gen", "er",

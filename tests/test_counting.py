@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from rnpkit import (
     Graph,
     PatternCensus,
+    SplitMix64,
     UnsupportedSizeError,
     are_isomorphic,
     automorphism_count,
@@ -26,6 +28,7 @@ from rnpkit import (
     star,
     two_triangles,
 )
+from rnpkit.counting import _connected_census, _key_rows
 
 from conftest import (
     all_graphs,
@@ -345,8 +348,6 @@ class TestPatternCensus:
             assert PatternCensus([cycle(4), path(5)], mode).counts(complete(3)) == (0, 0)
 
     def test_census_visits_each_connected_subset_once(self):
-        from rnpkit.counting import _connected_census
-
         for seed in range(6):
             g = seeded_graph(9, 0.3, 400 + seed)
             for k in range(1, 6):
@@ -358,9 +359,32 @@ class TestPatternCensus:
                 assert sum(tally.values()) == len(connected)
                 # every class at once, by canonical code rather than the matcher
                 by_code = Counter()
-                for (rows, attrs), seen in tally.items():
-                    by_code[canonical_code(Graph(k, rows, attrs))] += seen
+                for (back, attrs), seen in tally.items():
+                    by_code[canonical_code(Graph(k, _key_rows(back), attrs))] += seen
                 assert by_code == Counter(canonical_code(sub) for sub in connected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_strategy(max_nodes=5, attributed=True))
+    def test_back_masks_round_trip(self, g):
+        # a census key (back-masks, attrs) names exactly one labelled graph
+        back = tuple(row & ((1 << i) - 1) for i, row in enumerate(g.adjacency))
+        assert Graph(g.node_count, _key_rows(back), g.attributes) == g
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("induced", "4f438657cab0f3bcbcb635040bda60bf7f983752281b950b51048fcb3be60ea6"),
+        ("noninduced", "3d6110b636cfa62b08c66acb48a3242e2a8853593e3c53f6c3eb71dd8f96ef45"),
+    ])
+    def test_counts_pinned(self, mode, digest):
+        # Digests of the census as it was when it keyed each labelled
+        # subgraph by its adjacency rows.
+        hosts = [erdos_renyi(10, 0.3, seed) for seed in range(200)]
+        for seed in range(60):
+            g = erdos_renyi(9, 0.4, 7000 + seed)
+            rng = SplitMix64(seed)
+            hosts.append(Graph(9, g.adjacency, tuple(rng.below(3) for _ in range(9))))
+        census = PatternCensus(CENSUS_PATTERNS, mode)
+        counts = [census.counts(g) for g in hosts]
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
     def test_no_patterns(self):
         assert PatternCensus([], "induced").counts(Graph.from_edges(70)) == ()

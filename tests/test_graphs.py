@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnpkit import (
@@ -24,6 +24,7 @@ from rnpkit import (
     serialize_graph,
     two_triangles,
 )
+from rnpkit.graphs import bits_of
 
 from conftest import all_graphs, graph_strategy, seeded_graph, seeded_permutation
 
@@ -50,6 +51,33 @@ class TestGraphConstruction:
         assert g.edge_count == 6
         assert [g.degree(v) for v in range(6)] == [2] * 6
         assert g.has_edge(0, 5) and not g.has_edge(0, 3)
+
+
+def naive_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# Masks made of nonzero bytes at scattered offsets, so that set bytes are
+# separated by zero bytes, up to 200 bits wide.
+sparse_byte_masks = st.dictionaries(
+    st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=255)
+).map(lambda by_offset: sum(byte << 8 * offset for offset, byte in by_offset.items()))
+
+
+class TestBitsOf:
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(min_value=0, max_value=(1 << 200) - 1), sparse_byte_masks))
+    @example(0)
+    @example((1 << 64) - 1)
+    @example(1 << 64)
+    @example((1 << 199) | (1 << 64) | (1 << 63) | 1)
+    @example(0xFF << 120)
+    def test_matches_naive_oracle(self, mask):
+        assert bits_of(mask) == naive_bits(mask)
+
+    def test_neighbors_is_a_list_above_64_nodes(self):
+        g = Graph.from_edges(70, [(0, 69), (5, 69), (64, 69)])
+        assert g.neighbors(69) == [0, 5, 64]
 
 
 class TestNeighborhood:
