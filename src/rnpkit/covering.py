@@ -46,7 +46,7 @@ def covering_distance(
 
 def _covers(adjacency: tuple[int, ...], mask: int, v: int, radius: int) -> bool:
     # True iff every node of ``mask`` lies within ``radius`` of v inside mask.
-    return sum(bfs_layers(adjacency, mask, v)[: radius + 1]) == mask
+    return sum(bfs_layers(adjacency, mask, v, radius)) == mask
 
 
 def is_vertex_covering_sequence(

@@ -9,6 +9,16 @@ of the radius sequence.  Aggregation is an injective function of
 serialization, so equal bytes mean equal trees by construction and no
 learned components or hashes are involved in equality decisions.
 
+The last recursion level is built in its parent.  A context whose radius
+tail has one entry makes, once, every mark its leaf contexts can need:
+for each member u and flag b, the own value ``M<b>f(u)`` and that value
+marked as a near (``M1``) and, when the last radius is above 1, a far
+(``M0``) child.  A leaf context names a member whose flag is 0 by its
+index plus n, so one table lookup picks each member's variant, and one
+leaf routine encodes its members with no per-context tables and no
+further recursion.  The same routine encodes the whole graph under a
+radius sequence of length 1.
+
 Byte grammar (every value is self-delimiting, so concatenations parse
 uniquely and injectivity holds structurally):
 
@@ -99,6 +109,60 @@ class _BitTable(dict):
         return bits
 
 
+def _ball(adjacency: tuple[int, ...], within: int, v: int, r: int, bits: _BitTable) -> int:
+    # The nodes of ``within`` at distance at most r >= 1 from v, v included.
+    ball = frontier = 1 << v
+    for _ in range(r):
+        grown = 0
+        for u in bits[frontier]:
+            grown |= adjacency[u]
+        frontier = grown & within & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+_LeafMarks = tuple[dict[int, Encoding], dict[int, Encoding], dict[int, Encoding]]
+
+
+def _encode_leaves(
+    adjacency: tuple[int, ...],
+    ctx_mask: int,
+    r: int,
+    marks: _LeafMarks,
+    depth: int,
+    stats: _Stats,
+    bits: _BitTable,
+) -> list[Encoding]:
+    """Values of the members of a last-level context, in ascending index order.
+
+    ``marks`` holds, by member index, its own value and that value marked
+    as a near (``M1``) and, for r > 1, a far (``M0``) child.
+    """
+    stats.enter_context(depth, ctx_mask.bit_count())
+    own, near_marks, far_marks = marks
+    values = []
+    for w in bits[ctx_mask]:
+        adj_w = adjacency[w]
+        if r == 1:
+            children = [near_marks[u] for u in bits[adj_w & ctx_mask]]
+        else:
+            ball = _ball(adjacency, ctx_mask, w, r, bits)
+            near = ball & adj_w
+            children = [near_marks[u] for u in bits[near]]
+            children += [far_marks[u] for u in bits[ball ^ near ^ (1 << w)]]
+        children.sort()
+        values.append(b"N" + own[w] + b"[" + b"".join(children) + b"]")
+    return values
+
+
+def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
+    return own, {u: b"M1" + f for u, f in own.items()}, (
+        {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
+    )
+
+
 def _encode_context(
     adjacency: tuple[int, ...],
     ctx_mask: int,
@@ -108,7 +172,7 @@ def _encode_context(
     stats: _Stats,
     bits: _BitTable,
 ) -> dict[int, Encoding]:
-    """Encode each member of the context ``ctx_mask``.
+    """Encode each member of the context ``ctx_mask`` under two or more radii.
 
     ``features`` holds exactly the members' values.  Each child value is
     built as ``marked(features[u], flag)`` and each result as
@@ -117,11 +181,18 @@ def _encode_context(
     stats.enter_context(depth, ctx_mask.bit_count())
     r1 = radii[0]
     tail = radii[1:]
+    n = len(adjacency) // 2
     # Screened members adjacent to v ("near") carry flag 1, the rest of the
-    # ball ("far") flag 0.  A radius-1 ball is v's neighbours in the
-    # context, so it needs no BFS and no flag-0 marks.
-    near_marks = {u: b"M1" + f for u, f in features.items()}
-    far_marks = {u: b"M0" + f for u, f in features.items()} if r1 > 1 else {}
+    # ball ("far") flag 0; member u's flag-0 mark is kept under u + n.  A
+    # radius-1 ball is v's neighbours in the context, so it needs no BFS
+    # and no flag-0 marks.
+    tagged_marks = {u: b"M1" + f for u, f in features.items()}
+    if r1 > 1:
+        tagged_marks.update({u + n: b"M0" + f for u, f in features.items()})
+    if len(tail) == 1:
+        # Every leaf context below takes its marks from these tables and
+        # names a far member u as u + n, so the index picks the flag.
+        marks = _leaf_marks(tagged_marks, tail[0])
     out: dict[int, Encoding] = {}
     for v in bits[ctx_mask]:
         adj_v = adjacency[v]
@@ -129,32 +200,22 @@ def _encode_context(
             near = adj_v & ctx_mask
             far = 0
         else:
-            ball = frontier = 1 << v
-            for _ in range(r1):
-                grown = 0
-                for u in bits[frontier]:
-                    grown |= adjacency[u]
-                frontier = grown & ctx_mask & ~ball
-                if not frontier:
-                    break
-                ball |= frontier
+            ball = _ball(adjacency, ctx_mask, v, r1, bits)
             near = ball & adj_v
             far = ball ^ near ^ (1 << v)
-        if not tail:
-            children = [near_marks[u] for u in bits[near]]
+        if len(tail) == 1:
+            children = _encode_leaves(
+                adjacency, near | far << n, tail[0], marks, depth + 1, stats, bits
+            )
+        else:
+            tagged = {u: tagged_marks[u] for u in bits[near]}
             if far:
-                children += [far_marks[u] for u in bits[far]]
-        elif near or far:
-            tagged = {u: near_marks[u] for u in bits[near]}
-            if far:
-                tagged.update({u: far_marks[u] for u in bits[far]})
+                tagged.update({u: tagged_marks[u + n] for u in bits[far]})
             children = list(
                 _encode_context(
                     adjacency, near | far, tagged, tail, depth + 1, stats, bits
                 ).values()
             )
-        else:
-            children = []
         children.sort()
         out[v] = b"N" + features[v] + b"[" + b"".join(children) + b"]"
     return out
@@ -170,17 +231,27 @@ def rnp_encode_nodes(
     ``features`` defaults to one leaf per node built from its attribute.
     """
     radii = _check_radii(radii)
+    n = g.node_count
     if features is None:
-        feats = {v: leaf(g.attributes[v]) for v in range(g.node_count)}
+        feats = {v: leaf(g.attributes[v]) for v in range(n)}
     else:
         try:
-            feats = {v: features[v] for v in range(g.node_count)}
+            feats = {v: features[v] for v in range(n)}
         except KeyError as exc:
             raise ValueError(f"features missing an entry for node {exc.args[0]}") from None
     stats = _Stats(len(radii))
-    encodings = _encode_context(
-        g.adjacency, (1 << g.node_count) - 1, feats, radii, 0, stats, _BitTable()
-    )
+    # Rows u and u + n both hold u's neighbours under both names, so a
+    # last-level context may name any member u as u + n.
+    adjacency = tuple(row | row << n for row in g.adjacency) * 2
+    full = (1 << n) - 1
+    bits = _BitTable()
+    if len(radii) == 1:
+        values = _encode_leaves(
+            adjacency, full, radii[0], _leaf_marks(feats, radii[0]), 0, stats, bits
+        )
+        encodings = dict(zip(range(n), values))
+    else:
+        encodings = _encode_context(adjacency, full, feats, radii, 0, stats, bits)
     counter = UpdateCounter(
         sum(stats.level_invocations),
         tuple(stats.level_max),
@@ -208,5 +279,5 @@ def update_bound(g: Graph, radii: Sequence[int]) -> int:
         return 0
     full = (1 << n) - 1
     r = radii[0]
-    c = max(sum(bfs_layers(g.adjacency, full, v)[: r + 1]).bit_count() for v in range(n))
+    c = max(sum(bfs_layers(g.adjacency, full, v, r)).bit_count() for v in range(n))
     return n * c ** len(radii)

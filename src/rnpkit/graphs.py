@@ -2,9 +2,12 @@
 
 Adjacency is stored as one integer bitmask per node, which keeps
 neighbourhood expansion, induced subgraphs and isomorphism backtracking
-fast at the desk scale this package targets (hosts up to 64 nodes,
-patterns up to 8).  Graph values are immutable and hashable; every
-function in this module is pure.
+fast at the desk scale this package targets.  Graphs of any size are
+accepted, and `gen`, `encode`, `wl` and pattern-free experiments run on
+hosts wider than 64 nodes; only subgraph counting caps its hosts, at
+``counting.MAX_HOST_NODES`` = 64 nodes, and canonical codes their graphs,
+at 8.  Graph values are immutable and hashable; every function in this
+module is pure.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def neighborhood(g: Graph, v: int, radius: int) -> frozenset[int]:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     full = (1 << g.node_count) - 1
-    return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v)[: radius + 1])))
+    return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v, radius))))
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -197,11 +200,16 @@ def _induced_rows(g: Graph, nodes: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def bfs_layers(adjacency: Sequence[int], within: int, v: int) -> list[int]:
-    """Masks of the nodes at distance 0, 1, 2, ... from ``v`` inside ``within``."""
+def bfs_layers(
+    adjacency: Sequence[int], within: int, v: int, radius: int | None = None
+) -> list[int]:
+    """Masks of the nodes at distance 0, 1, 2, ... from ``v`` inside ``within``.
+
+    With ``radius``, only the layers at distance at most ``radius``.
+    """
     layers = [1 << v]
     seen = frontier = 1 << v
-    while True:
+    while radius is None or len(layers) <= radius:
         grown = 0
         while frontier:
             low = frontier & -frontier
@@ -212,6 +220,7 @@ def bfs_layers(adjacency: Sequence[int], within: int, v: int) -> list[int]:
             return layers
         seen |= frontier
         layers.append(frontier)
+    return layers
 
 
 def all_pairs_shortest_paths(g: Graph) -> tuple[tuple[int | float, ...], ...]:

@@ -84,6 +84,19 @@ def graph_strategy(
     return Graph(n, tuple(rows), attrs)
 
 
+@st.composite
+def wide_sparse_graph_strategy(
+    draw, min_nodes: int = 65, max_nodes: int = 90, max_attribute: int = 12
+):
+    """Hosts over 64 nodes with at most as many edges as nodes."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    attrs = draw(st.lists(
+        st.integers(min_value=0, max_value=max_attribute), min_size=n, max_size=n))
+    return Graph.from_edges(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]}, attrs)
+
+
 def reference_embeddings(p: Graph, t: Graph, induced: bool) -> int:
     """Matcher oracle: attribute-preserving injective maps of p's nodes into t's.
 

@@ -28,7 +28,14 @@ from rnpkit import (
     update_bound,
 )
 
-from conftest import seeded_graph, seeded_permutation
+from rnpkit.graphs import bfs_layers
+
+from conftest import (
+    graph_strategy,
+    seeded_graph,
+    seeded_permutation,
+    wide_sparse_graph_strategy,
+)
 
 RADII_POOL = [(1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2, 1), (1, 1, 1)]
 
@@ -178,6 +185,23 @@ class TestUpdateCounting:
             assert len(counter.invocations_per_level) == len(radii)
             assert sum(counter.invocations_per_level) == counter.invocations
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(graph_strategy(max_nodes=9), wide_sparse_graph_strategy()),
+        st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    )
+    def test_bound_matches_full_bfs_formula(self, g, radii):
+        # The bound before its BFS stopped at the first radius: each ball
+        # is the first r1 + 1 layers of a BFS over the whole graph.
+        n = g.node_count
+        full = (1 << n) - 1
+        c = max(
+            (sum(bfs_layers(g.adjacency, full, v)[: radii[0] + 1]).bit_count()
+             for v in range(n)),
+            default=0,
+        )
+        assert update_bound(g, radii) == n * c ** len(radii)
+
     def test_context_sizes_shrink_for_nonincreasing_radii(self):
         rng = SplitMix64(4321)
         for radii in [(2, 1), (2, 2, 1), (3, 2, 1), (1, 1, 1)]:
@@ -288,6 +312,65 @@ class TestAgainstReference:
             "6f9ce0280580da69a33fea6d5c24f69ff9e66dbda85e0e93c4458764dbe40433"
         )
         assert invocations == 177_914
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            graph_strategy(max_nodes=8, attributed=True, max_attribute=12),
+            wide_sparse_graph_strategy(),
+        ),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        st.lists(st.integers(0, 12), max_size=3) | st.none(),
+    )
+    def test_matches_reference_on_hypothesis_graphs(self, g, drawn, extra):
+        # Every graph runs under REFERENCE_RADII and one drawn sequence.
+        # Attributes up to 12 put L10; before L1; in byte order, and with
+        # ``extra`` every node's feature is a node value with leaf children.
+        n = g.node_count
+        if extra is None:
+            custom = None
+            feats = {v: leaf(g.attributes[v]) for v in range(n)}
+        else:
+            custom = {
+                v: node(leaf(g.attributes[v]), map(leaf, extra[: v % 4])) for v in range(n)
+            }
+            feats = custom
+        for radii in REFERENCE_RADII + [tuple(drawn)]:
+            contexts = {}
+            expected = reference_encode(set(range(n)), g, feats, radii, contexts)
+            actual, counter = rnp_encode_nodes(g, radii, features=custom)
+            assert actual == expected
+            assert counter == reference_counter(contexts, len(radii))
+
+    def test_attributed_encodings_pinned(self):
+        # Node encodings and work counters on seeded attributed hosts (one
+        # in eight wider than 64 nodes) with attributes 0-12, a third with
+        # custom features, under every radius sequence of REFERENCE_RADII.
+        digest = hashlib.sha256()
+        rng = SplitMix64(1212)
+        for trial in range(3 * len(REFERENCE_RADII)):
+            radii = REFERENCE_RADII[trial % len(REFERENCE_RADII)]
+            if trial % 8 == 0:
+                n = 65 + rng.below(12)
+                p = 2.5 / n
+            else:
+                n = 1 + rng.below(18)
+                p = 0.15 + 0.4 * rng.random()
+            base = erdos_renyi(n, p, rng.next_u64())
+            g = Graph(n, base.adjacency, tuple(rng.below(13) for _ in range(n)))
+            custom = None
+            if trial % 3 == 0:
+                custom = {
+                    v: node(leaf(g.attributes[v]), [leaf(rng.below(13))] * rng.below(3))
+                    for v in range(n)
+                }
+            encodings, counter = rnp_encode_nodes(g, radii, features=custom)
+            for v in range(n):
+                digest.update(encodings[v])
+            digest.update(repr(counter).encode())
+        assert digest.hexdigest() == (
+            "804d7f780cb1a3125a298dcdce0ced0b73ee663b8fe33deb62c9c9f73948f450"
+        )
 
 
 class TestCountRefinement:

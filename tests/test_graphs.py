@@ -24,9 +24,15 @@ from rnpkit import (
     serialize_graph,
     two_triangles,
 )
-from rnpkit.graphs import bits_of
+from rnpkit.graphs import bfs_layers, bits_of
 
-from conftest import all_graphs, graph_strategy, seeded_graph, seeded_permutation
+from conftest import (
+    all_graphs,
+    graph_strategy,
+    seeded_graph,
+    seeded_permutation,
+    wide_sparse_graph_strategy,
+)
 
 
 class TestGraphConstruction:
@@ -105,6 +111,21 @@ class TestNeighborhood:
         assert smaller <= larger
         if r >= g.node_count - 1:
             assert smaller == larger
+
+
+class TestBfsLayers:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(graph_strategy(min_nodes=1, max_nodes=9), wide_sparse_graph_strategy()),
+        st.integers(0, 1 << 90),
+        st.integers(0, 89),
+        st.integers(0, 6),
+    )
+    def test_radius_keeps_the_first_layers_of_the_full_bfs(self, g, within, v, radius):
+        v = v % g.node_count
+        within = (within | 1 << v) & ((1 << g.node_count) - 1)
+        full_bfs = bfs_layers(g.adjacency, within, v)
+        assert bfs_layers(g.adjacency, within, v, radius) == full_bfs[: radius + 1]
 
 
 class TestShortestPaths:
