@@ -70,13 +70,24 @@ def _load_graph(path: str) -> Graph:
         raise UserError(f"{path}: {exc}") from exc
 
 
+def _parse_counts(text: str) -> tuple[int, ...] | None:
+    """Comma-separated ASCII decimal integers, or None if ``text`` is not that.
+
+    ``int`` alone would also take signs, spaces, underscores and non-ASCII
+    digits, so ``1_0`` would read as 10.
+    """
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        return None
+    return tuple(map(int, parts))
+
+
 def _parse_radii(text: str) -> tuple[int, ...]:
-    try:
-        radii = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UserError(f"bad radii '{text}': expected comma-separated integers") from None
-    if not radii or any(r < 0 for r in radii):
-        raise UserError(f"bad radii '{text}': need one or more nonnegative integers")
+    radii = _parse_counts(text)
+    if radii is None:
+        raise UserError(
+            f"bad radii '{text}': expected comma-separated nonnegative integers"
+        )
     return radii
 
 
@@ -102,10 +113,9 @@ def _cmd_gen(args, out) -> int:
         elif args.family == "regular":
             graphs = [random_regular_perturbed(args.n, args.d, args.delete, args.seed)]
         elif args.family == "prime-partite":
-            try:
-                primes = [int(p) for p in args.primes.split(",")]
-            except ValueError:
-                raise UserError(f"bad primes '{args.primes}'") from None
+            primes = _parse_counts(args.primes)
+            if primes is None:
+                raise UserError(f"bad primes '{args.primes}'")
             graphs = [prime_partite(primes, args.n)]
         else:  # pattern
             result = pattern(args.name, args.size)

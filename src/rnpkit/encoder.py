@@ -19,6 +19,17 @@ leaf routine encodes its members with no per-context tables and no
 further recursion.  The same routine encodes the whole graph under a
 radius sequence of length 1.
 
+A radius-1 leaf's children are its neighbours in the leaf context, each
+marked near.  When the parent's members' own values take at most four
+distinct byte strings (every unattributed graph under at most three
+radii: near or far at two depths), the parent also sorts them into those
+classes, in ascending byte order, with one member mask each.  A leaf
+value is then the head ``N<own>[``, each class's child mark repeated as
+many times as the member has neighbours in the class (one popcount), and
+``]``.  Every child in a class is the same bytes, so this is the sorted
+join of the children, with no child lookups and no sort.  More values,
+or a last radius above 1, take one lookup per child and a sort.
+
 Byte grammar (every value is self-delimiting, so concatenations parse
 uniquely and injectivity holds structurally):
 
@@ -123,7 +134,12 @@ def _ball(adjacency: tuple[int, ...], within: int, v: int, r: int, bits: _BitTab
     return ball
 
 
-_LeafMarks = tuple[dict[int, Encoding], dict[int, Encoding], dict[int, Encoding]]
+# A leaf's children by mark class: up to four (child mark, member mask)
+# pairs in ascending byte order of the marks, padded with (b"", 0).
+_Slots = tuple[tuple[Encoding, int], ...]
+_LeafMarks = tuple[
+    dict[int, Encoding], dict[int, Encoding], dict[int, Encoding], _Slots | None
+]
 
 
 def _encode_leaves(
@@ -138,11 +154,28 @@ def _encode_leaves(
     """Values of the members of a last-level context, in ascending index order.
 
     ``marks`` holds, by member index, its own value and that value marked
-    as a near (``M1``) and, for r > 1, a far (``M0``) child.
+    as a near (``M1``) and, for r > 1, a far (``M0``) child; or, when
+    ``_leaf_marks`` made class slots, each member's head ``N<own>[`` and
+    the slots.
     """
     stats.enter_context(depth, ctx_mask.bit_count())
-    own, near_marks, far_marks = marks
+    own, near_marks, far_marks, slots = marks
     values = []
+    if slots is not None:
+        # Every child in a class is the same bytes and the classes are in
+        # byte order, so the repeated class marks are the sorted children.
+        (m1, k1), (m2, k2), (m3, k3), (m4, k4) = slots
+        for w in bits[ctx_mask]:
+            a = adjacency[w] & ctx_mask
+            values.append(b"".join((
+                own[w],
+                m1 * (a & k1).bit_count(),
+                m2 * (a & k2).bit_count(),
+                m3 * (a & k3).bit_count(),
+                m4 * (a & k4).bit_count(),
+                b"]",
+            )))
+        return values
     for w in bits[ctx_mask]:
         adj_w = adjacency[w]
         if r == 1:
@@ -158,9 +191,23 @@ def _encode_leaves(
 
 
 def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
+    """Leaf marks from the members' own values, class slots when they apply.
+
+    A radius-1 leaf whose members' values take at most four byte strings
+    gets heads and slots (see the module docstring); any other leaf gets
+    the own values and the near and far child marks.
+    """
+    if r == 1 and len(set(own.values())) <= 4:
+        classes: dict[Encoding, int] = {}
+        for u, f in own.items():
+            classes[f] = classes.get(f, 0) | 1 << u
+        slots = [(b"M1" + f, k) for f, k in sorted(classes.items())]
+        slots += [(b"", 0)] * (4 - len(slots))
+        heads = {u: b"N" + f + b"[" for u, f in own.items()}
+        return heads, {}, {}, tuple(slots)
     return own, {u: b"M1" + f for u, f in own.items()}, (
         {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
-    )
+    ), None
 
 
 def _encode_context(

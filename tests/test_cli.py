@@ -212,6 +212,32 @@ class TestDistinguish:
         assert code == 2
 
 
+class TestNumberLists:
+    # --radii and --primes take ASCII decimal digits only: int() alone would
+    # read 1_0 as 10 and accept signs, spaces and other scripts' digits.
+    BAD = ["1_0", "\u0662,1", "\uff11", "+1", " 1", "1 ", "-1", "1,", ",1", "1,,2", ""]
+
+    @pytest.mark.parametrize("command", ["encode", "complexity", "distinguish"])
+    @pytest.mark.parametrize("text", BAD)
+    def test_radii_reject_anything_but_ascii_digits(self, tmp_path, capsys, command, text):
+        g = write_graph(tmp_path, "c6.txt", cycle(6))
+        graphs = [g, g] if command == "distinguish" else [g]
+        assert run([command, *graphs, f"--radii={text}"]) == (2, "")
+        assert "bad radii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["2_3", "\u0663,2", "+2,3", "2, 3", "-2", "2,", ""])
+    def test_primes_reject_anything_but_ascii_digits(self, capsys, text):
+        assert run(["gen", "prime-partite", f"--primes={text}", "--n", "40"]) == (2, "")
+        assert "bad primes" in capsys.readouterr().err
+
+    def test_multi_digit_radii_still_parse(self, tmp_path):
+        g = write_graph(tmp_path, "c6.txt", cycle(6))
+        code, text = run(["complexity", g, "--radii", "10,01"])
+        assert code == 0
+        # Radius 10 covers all of C6: the bound is 6 * 6**2.
+        assert json.loads(text)["bound"] == 216
+
+
 class TestComplexityAndEncode:
     def test_isolated_nodes_hit_bound(self, tmp_path):
         from rnpkit import Graph

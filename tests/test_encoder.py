@@ -22,12 +22,14 @@ from rnpkit import (
     node,
     path,
     permuted,
+    random_regular_perturbed,
     rnp_encode_graph,
     rnp_encode_nodes,
     two_triangles,
     update_bound,
 )
 
+from rnpkit.encoder import _leaf_marks
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
@@ -312,6 +314,59 @@ class TestAgainstReference:
             "6f9ce0280580da69a33fea6d5c24f69ff9e66dbda85e0e93c4458764dbe40433"
         )
         assert invocations == 177_914
+
+    def test_stream_regular_encodings_pinned(self):
+        # The same for the first 200 graphs of a seed-1 stream_regular run:
+        # 3-regular n=10 graphs with one edge deleted, under (3, 2, 1).
+        digest = hashlib.sha256()
+        invocations = 0
+        for t in range(200):
+            g = random_regular_perturbed(10, 3, 1, 1_000_000 + t)
+            encodings, counter = rnp_encode_nodes(g, (3, 2, 1))
+            digest.update(graph_readout(encodings.values()))
+            invocations += counter.invocations
+        assert digest.hexdigest() == (
+            "cdb84a7a8e36a972eb880e777ed948d6a684a3e41788e0f2c8840efadd0a2838"
+        )
+        assert invocations == 111_786
+
+    def test_leaf_class_slots_need_radius_one_and_four_values(self):
+        # Slots are sorted by mark bytes (L10; before L1;) and padded to
+        # four; a fifth value or a leaf radius above 1 keeps the per-child
+        # path.
+        own = {0: b"L1;", 1: b"L10;", 2: b"L1;", 5: b"L0;"}
+        heads, _, _, slots = _leaf_marks(own, 1)
+        assert slots == (
+            (b"M1L0;", 1 << 5), (b"M1L10;", 0b10), (b"M1L1;", 0b101), (b"", 0)
+        )
+        assert heads == {u: b"N" + f + b"[" for u, f in own.items()}
+        assert _leaf_marks({u: b"L%d;" % u for u in range(4)}, 1)[3] is not None
+        assert _leaf_marks({u: b"L%d;" % u for u in range(5)}, 1)[3] is None
+        assert _leaf_marks(own, 2)[3] is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            graph_strategy(max_nodes=9),
+            graph_strategy(max_nodes=9, attributed=True, max_attribute=1),
+            wide_sparse_graph_strategy(max_attribute=0),
+        ),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    def test_matches_reference_where_leaves_use_class_counts(self, g, drawn):
+        # Unattributed graphs under radii of length at most 3 leave at most
+        # four mark values at a radius-1 leaf (near or far at two depths), so
+        # their leaves are built from class counts.  Attributes in {0, 1}
+        # give exactly four under (2, 1) and eight, the per-child path,
+        # under (3, 2, 1).
+        n = g.node_count
+        feats = {v: leaf(g.attributes[v]) for v in range(n)}
+        for radii in REFERENCE_RADII + [tuple(drawn)]:
+            contexts = {}
+            expected = reference_encode(set(range(n)), g, feats, radii, contexts)
+            actual, counter = rnp_encode_nodes(g, radii)
+            assert actual == expected
+            assert counter == reference_counter(contexts, len(radii))
 
     @settings(max_examples=60, deadline=None)
     @given(
