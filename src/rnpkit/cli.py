@@ -70,25 +70,18 @@ def _load_graph(path: str) -> Graph:
         raise UserError(f"{path}: {exc}") from exc
 
 
-def _parse_counts(text: str) -> tuple[int, ...] | None:
-    """Comma-separated ASCII decimal integers, or None if ``text`` is not that.
+def _parse_counts(text: str, what: str, single: bool = False) -> tuple[int, ...]:
+    """Comma-separated ASCII decimal integers, exactly one if ``single``.
 
     ``int`` alone would also take signs, spaces, underscores and non-ASCII
-    digits, so ``1_0`` would read as 10.
+    digits, so ``1_0`` would read as 10.  Other text is a user error that
+    names ``what``.
     """
     parts = text.split(",")
-    if not all(part.isascii() and part.isdigit() for part in parts):
-        return None
+    if (single and len(parts) > 1) or not all(p.isascii() and p.isdigit() for p in parts):
+        expected = "a nonnegative integer" if single else "comma-separated nonnegative integers"
+        raise UserError(f"bad {what} '{text}': expected {expected}")
     return tuple(map(int, parts))
-
-
-def _parse_radii(text: str) -> tuple[int, ...]:
-    radii = _parse_counts(text)
-    if radii is None:
-        raise UserError(
-            f"bad radii '{text}': expected comma-separated nonnegative integers"
-        )
-    return radii
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -107,16 +100,17 @@ def _write_text(text: str, path: str | None, out) -> None:
 
 
 def _cmd_gen(args, out) -> int:
+    # Integer options arrive as text and take ASCII digits only, like --radii.
+    for name in ("n", "d", "delete", "size", "seed"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _parse_counts(getattr(args, name), "--" + name, True)[0])
     try:
         if args.family == "er":
             graphs = [erdos_renyi(args.n, args.p, args.seed)]
         elif args.family == "regular":
             graphs = [random_regular_perturbed(args.n, args.d, args.delete, args.seed)]
         elif args.family == "prime-partite":
-            primes = _parse_counts(args.primes)
-            if primes is None:
-                raise UserError(f"bad primes '{args.primes}'")
-            graphs = [prime_partite(primes, args.n)]
+            graphs = [prime_partite(_parse_counts(args.primes, "primes"), args.n)]
         else:  # pattern
             result = pattern(args.name, args.size)
             graphs = list(result) if isinstance(result, tuple) else [result]
@@ -164,7 +158,7 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_encode(args, out) -> int:
     graph = _load_graph(args.graph)
-    radii = _parse_radii(args.radii)
+    radii = _parse_counts(args.radii, "radii")
     encodings, counter = rnp_encode_nodes(graph, radii)
     _emit_json(
         {
@@ -181,7 +175,7 @@ def _cmd_encode(args, out) -> int:
 def _cmd_distinguish(args, out) -> int:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
-    radii = _parse_radii(args.radii)
+    radii = _parse_counts(args.radii, "radii")
     _emit_json(
         {
             "schema": SCHEMA,
@@ -196,7 +190,7 @@ def _cmd_distinguish(args, out) -> int:
 
 def _cmd_complexity(args, out) -> int:
     graph = _load_graph(args.graph)
-    radii = _parse_radii(args.radii)
+    radii = _parse_counts(args.radii, "radii")
     _, counter = rnp_encode_nodes(graph, radii)
     bound = update_bound(graph, radii)
     ratio = counter.invocations / bound if bound else 0.0
@@ -301,14 +295,14 @@ def _generate_trial(gen: dict, seed: int) -> tuple[Graph, str]:
 
 
 def _node_invariants(g: Graph) -> tuple[tuple, ...]:
-    """Each node's (attribute, BFS layer sizes, unreached count): its distance
-    histogram, which splits most regular graphs where 1-WL is blind."""
-    n, full = g.node_count, (1 << g.node_count) - 1
-    invariants = []
-    for v, attribute in enumerate(g.attributes):
-        sizes = tuple(map(int.bit_count, bfs_layers(g.adjacency, full, v)))
-        invariants.append((attribute, sizes, n - sum(sizes)))
-    return tuple(invariants)
+    """Each node's (attribute, BFS layer sizes): its distance histogram, which
+    splits most regular graphs where 1-WL is blind.  A key has one entry per
+    node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
+    full = (1 << g.node_count) - 1
+    return tuple(
+        (attribute, tuple(map(int.bit_count, bfs_layers(g.adjacency, full, v))))
+        for v, attribute in enumerate(g.attributes)
+    )
 
 
 def _cmd_experiment(args, out) -> int:
@@ -409,24 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a graph file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
     er = gen_sub.add_parser("er", help="uniform random graph")
-    er.add_argument("--n", type=int, required=True)
+    er.add_argument("--n", required=True)
     er.add_argument("--p", type=float, required=True)
-    er.add_argument("--seed", type=int, required=True)
+    er.add_argument("--seed", required=True)
     er.add_argument("--out")
     reg = gen_sub.add_parser("regular", help="perturbed random regular graph")
-    reg.add_argument("--n", type=int, required=True)
-    reg.add_argument("--d", type=int, default=3)
-    reg.add_argument("--delete", type=int, default=0)
-    reg.add_argument("--seed", type=int, required=True)
+    reg.add_argument("--n", required=True)
+    reg.add_argument("--d", default="3")
+    reg.add_argument("--delete", default="0")
+    reg.add_argument("--seed", required=True)
     reg.add_argument("--out")
     pp = gen_sub.add_parser("prime-partite", help="prime-sized complete multipartite graph")
     pp.add_argument("--primes", required=True, help="comma-separated distinct primes")
-    pp.add_argument("--n", type=int, required=True)
+    pp.add_argument("--n", required=True)
     pp.add_argument("--out")
     pat = gen_sub.add_parser("pattern", help="named pattern graph")
     pat.add_argument("--name", required=True,
                      choices=["cycle", "complete", "path", "star", "figure2_pair"])
-    pat.add_argument("--size", type=int)
+    pat.add_argument("--size")
     pat.add_argument("--out")
 
     cover = sub.add_parser("cover", help="minimum-first-radius covering sequence")

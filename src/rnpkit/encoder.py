@@ -6,8 +6,10 @@ itself, tag each survivor with a bit saying whether it was adjacent to
 the dropped node, and encode the resulting context graph with the tail
 of the radius sequence.  Aggregation is an injective function of
 (own feature, multiset of child values) realised as a canonical byte
-serialization, so equal bytes mean equal trees by construction and no
-learned components or hashes are involved in equality decisions.
+serialization.  The encoder takes only graphs, and a node's own feature
+is ``leaf(attribute)``, so every value follows the grammar below, equal
+bytes mean equal trees by construction, and no learned components or
+hashes are involved in equality decisions.
 
 The last recursion level is built in its parent.  A context whose radius
 tail has one entry makes, once, every mark its leaf contexts can need:
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bfs_layers, bits_of
 
@@ -120,20 +122,6 @@ class _BitTable(dict):
         return bits
 
 
-def _ball(adjacency: tuple[int, ...], within: int, v: int, r: int, bits: _BitTable) -> int:
-    # The nodes of ``within`` at distance at most r >= 1 from v, v included.
-    ball = frontier = 1 << v
-    for _ in range(r):
-        grown = 0
-        for u in bits[frontier]:
-            grown |= adjacency[u]
-        frontier = grown & within & ~ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
-
-
 # A leaf's children by mark class: up to four (child mark, member mask)
 # pairs in ascending byte order of the marks, padded with (b"", 0).
 _Slots = tuple[tuple[Encoding, int], ...]
@@ -181,7 +169,7 @@ def _encode_leaves(
         if r == 1:
             children = [near_marks[u] for u in bits[adj_w & ctx_mask]]
         else:
-            ball = _ball(adjacency, ctx_mask, w, r, bits)
+            ball = sum(bfs_layers(adjacency, ctx_mask, w, r))
             near = ball & adj_w
             children = [near_marks[u] for u in bits[near]]
             children += [far_marks[u] for u in bits[ball ^ near ^ (1 << w)]]
@@ -213,7 +201,7 @@ def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
 def _encode_context(
     adjacency: tuple[int, ...],
     ctx_mask: int,
-    features: dict[int, Encoding],
+    own: dict[int, Encoding],
     radii: tuple[int, ...],
     depth: int,
     stats: _Stats,
@@ -221,9 +209,9 @@ def _encode_context(
 ) -> dict[int, Encoding]:
     """Encode each member of the context ``ctx_mask`` under two or more radii.
 
-    ``features`` holds exactly the members' values.  Each child value is
-    built as ``marked(features[u], flag)`` and each result as
-    ``node(features[v], children)``, written out inline.
+    ``own`` holds exactly the members' values.  Each child value is
+    built as ``marked(own[u], flag)`` and each result as
+    ``node(own[v], children)``, written out inline.
     """
     stats.enter_context(depth, ctx_mask.bit_count())
     r1 = radii[0]
@@ -233,9 +221,9 @@ def _encode_context(
     # ball ("far") flag 0; member u's flag-0 mark is kept under u + n.  A
     # radius-1 ball is v's neighbours in the context, so it needs no BFS
     # and no flag-0 marks.
-    tagged_marks = {u: b"M1" + f for u, f in features.items()}
+    tagged_marks = {u: b"M1" + f for u, f in own.items()}
     if r1 > 1:
-        tagged_marks.update({u + n: b"M0" + f for u, f in features.items()})
+        tagged_marks.update({u + n: b"M0" + f for u, f in own.items()})
     if len(tail) == 1:
         # Every leaf context below takes its marks from these tables and
         # names a far member u as u + n, so the index picks the flag.
@@ -247,7 +235,7 @@ def _encode_context(
             near = adj_v & ctx_mask
             far = 0
         else:
-            ball = _ball(adjacency, ctx_mask, v, r1, bits)
+            ball = sum(bfs_layers(adjacency, ctx_mask, v, r1))
             near = ball & adj_v
             far = ball ^ near ^ (1 << v)
         if len(tail) == 1:
@@ -264,28 +252,20 @@ def _encode_context(
                 ).values()
             )
         children.sort()
-        out[v] = b"N" + features[v] + b"[" + b"".join(children) + b"]"
+        out[v] = b"N" + own[v] + b"[" + b"".join(children) + b"]"
     return out
 
 
 def rnp_encode_nodes(
-    g: Graph,
-    radii: Sequence[int],
-    features: Mapping[int, Encoding] | None = None,
+    g: Graph, radii: Sequence[int]
 ) -> tuple[dict[int, Encoding], UpdateCounter]:
     """Encode every node of g; also report the work counter.
 
-    ``features`` defaults to one leaf per node built from its attribute.
+    Each node's own value is ``leaf(attribute)``.
     """
     radii = _check_radii(radii)
     n = g.node_count
-    if features is None:
-        feats = {v: leaf(g.attributes[v]) for v in range(n)}
-    else:
-        try:
-            feats = {v: features[v] for v in range(n)}
-        except KeyError as exc:
-            raise ValueError(f"features missing an entry for node {exc.args[0]}") from None
+    own = {v: leaf(g.attributes[v]) for v in range(n)}
     stats = _Stats(len(radii))
     # Rows u and u + n both hold u's neighbours under both names, so a
     # last-level context may name any member u as u + n.
@@ -294,11 +274,11 @@ def rnp_encode_nodes(
     bits = _BitTable()
     if len(radii) == 1:
         values = _encode_leaves(
-            adjacency, full, radii[0], _leaf_marks(feats, radii[0]), 0, stats, bits
+            adjacency, full, radii[0], _leaf_marks(own, radii[0]), 0, stats, bits
         )
         encodings = dict(zip(range(n), values))
     else:
-        encodings = _encode_context(adjacency, full, feats, radii, 0, stats, bits)
+        encodings = _encode_context(adjacency, full, own, radii, 0, stats, bits)
     counter = UpdateCounter(
         sum(stats.level_invocations),
         tuple(stats.level_max),

@@ -213,8 +213,9 @@ class TestDistinguish:
 
 
 class TestNumberLists:
-    # --radii and --primes take ASCII decimal digits only: int() alone would
-    # read 1_0 as 10 and accept signs, spaces and other scripts' digits.
+    # --radii, --primes and gen's integer options take ASCII decimal digits
+    # only: int() alone would read 1_0 as 10 and accept signs, spaces and
+    # other scripts' digits.
     BAD = ["1_0", "\u0662,1", "\uff11", "+1", " 1", "1 ", "-1", "1,", ",1", "1,,2", ""]
 
     @pytest.mark.parametrize("command", ["encode", "complexity", "distinguish"])
@@ -229,6 +230,23 @@ class TestNumberLists:
     def test_primes_reject_anything_but_ascii_digits(self, capsys, text):
         assert run(["gen", "prime-partite", f"--primes={text}", "--n", "40"]) == (2, "")
         assert "bad primes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "+3", " 3", "-4", "3,4", ""])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["er", "--p", "0.3", "--seed", "1", "--n"], "--n"),
+            (["er", "--n", "10", "--p", "0.3", "--seed"], "--seed"),
+            (["regular", "--n", "10", "--seed", "1", "--d"], "--d"),
+            (["regular", "--n", "10", "--seed", "1", "--delete"], "--delete"),
+            (["regular", "--n", "10", "--d", "3", "--seed"], "--seed"),
+            (["prime-partite", "--primes", "2,3", "--n"], "--n"),
+            (["pattern", "--name", "cycle", "--size"], "--size"),
+        ],
+    )
+    def test_gen_integers_reject_anything_but_ascii_digits(self, capsys, argv, option, text):
+        assert run(["gen", *argv[:-1], f"{argv[-1]}={text}"]) == (2, "")
+        assert f"bad {option} '{text}'" in capsys.readouterr().err
 
     def test_multi_digit_radii_still_parse(self, tmp_path):
         g = write_graph(tmp_path, "c6.txt", cycle(6))
@@ -683,11 +701,37 @@ class TestExperimentValidation:
             {"generator": {"kind": "er", "n": 70, "p": 0.3}},
             {"radii": [True, 1]},
             {"checks": "theorem1"},
+            {"generator": {"kind": "er", "n": 8, "p": 0.3, "x": 1}},
+            {"checks": ["theorem2"]},
+            {"mode": "both"},
+            {"patterns": [], "radii": "auto"},
         ],
     )
     def test_rejected_before_output(self, tmp_path, overrides):
         code, text = run(["experiment", experiment_spec(tmp_path, **overrides)])
         assert (code, text) == (2, "")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([], "spec must be a JSON object"),
+            ("er", "spec must be a JSON object"),
+            ({"generator": {"kind": "er", "n": 8, "p": 0.3}, "trials": 1},
+             "missing spec fields ['base_seed', 'patterns', 'radii']"),
+        ],
+    )
+    def test_spec_shape_rejected_before_output(self, tmp_path, capsys, spec, message):
+        target = tmp_path / "spec.json"
+        target.write_text(json.dumps(spec))
+        assert run(["experiment", str(target)]) == (2, "")
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_spec_rejected_before_output(self, tmp_path, capsys, name):
+        # A missing file, and a directory as the file.
+        path = str(tmp_path / name)
+        assert run(["experiment", path]) == (2, "")
+        assert path in capsys.readouterr().err
 
     def test_patterns_must_be_a_list(self, tmp_path, capsys):
         k3 = write_graph(tmp_path, "k3.txt", complete(3))

@@ -102,12 +102,6 @@ class TestNodeEncodings:
         assert encodings[0] == encodings[2]
         assert encodings[1] != encodings[0]
 
-    def test_custom_features_flow_through(self):
-        g = path(3)
-        base, _ = rnp_encode_nodes(g, (1,))
-        custom, _ = rnp_encode_nodes(g, (1,), features={0: leaf(7), 1: leaf(0), 2: leaf(0)})
-        assert base[0] != custom[0]
-
     def test_zero_radius_wraps_own_feature_only(self):
         encodings, counter = rnp_encode_nodes(complete(4), (0,))
         assert set(encodings.values()) == {node(leaf(0), [])}
@@ -276,25 +270,17 @@ class TestAgainstReference:
             actual, _ = rnp_encode_nodes(g, radii)
             assert actual == expected
 
-    def test_matches_reference_on_attributed_graphs_and_custom_features(self):
+    def test_matches_reference_on_attributed_graphs(self):
         rng = SplitMix64(404)
         for trial in range(4 * len(REFERENCE_RADII)):
             radii = REFERENCE_RADII[trial % len(REFERENCE_RADII)]
             n = 1 + rng.below(16)
             base = erdos_renyi(n, 0.15 + 0.35 * rng.random(), rng.next_u64())
             g = Graph(n, base.adjacency, tuple(rng.below(3) for _ in range(n)))
-            if trial % 2:
-                custom = None
-                feats = {v: leaf(g.attributes[v]) for v in range(n)}
-            else:
-                custom = {
-                    v: node(leaf(g.attributes[v]), [leaf(rng.below(3))] * rng.below(3))
-                    for v in range(n)
-                }
-                feats = custom
+            feats = {v: leaf(g.attributes[v]) for v in range(n)}
             contexts = {}
             expected = reference_encode(set(range(n)), g, feats, radii, contexts)
-            actual, counter = rnp_encode_nodes(g, radii, features=custom)
+            actual, counter = rnp_encode_nodes(g, radii)
             assert actual == expected
             assert counter == reference_counter(contexts, len(radii))
 
@@ -375,32 +361,23 @@ class TestAgainstReference:
             wide_sparse_graph_strategy(),
         ),
         st.lists(st.integers(0, 3), min_size=1, max_size=4),
-        st.lists(st.integers(0, 12), max_size=3) | st.none(),
     )
-    def test_matches_reference_on_hypothesis_graphs(self, g, drawn, extra):
+    def test_matches_reference_on_hypothesis_graphs(self, g, drawn):
         # Every graph runs under REFERENCE_RADII and one drawn sequence.
-        # Attributes up to 12 put L10; before L1; in byte order, and with
-        # ``extra`` every node's feature is a node value with leaf children.
+        # Attributes up to 12 put L10; before L1; in byte order.
         n = g.node_count
-        if extra is None:
-            custom = None
-            feats = {v: leaf(g.attributes[v]) for v in range(n)}
-        else:
-            custom = {
-                v: node(leaf(g.attributes[v]), map(leaf, extra[: v % 4])) for v in range(n)
-            }
-            feats = custom
+        feats = {v: leaf(g.attributes[v]) for v in range(n)}
         for radii in REFERENCE_RADII + [tuple(drawn)]:
             contexts = {}
             expected = reference_encode(set(range(n)), g, feats, radii, contexts)
-            actual, counter = rnp_encode_nodes(g, radii, features=custom)
+            actual, counter = rnp_encode_nodes(g, radii)
             assert actual == expected
             assert counter == reference_counter(contexts, len(radii))
 
     def test_attributed_encodings_pinned(self):
         # Node encodings and work counters on seeded attributed hosts (one
-        # in eight wider than 64 nodes) with attributes 0-12, a third with
-        # custom features, under every radius sequence of REFERENCE_RADII.
+        # in eight wider than 64 nodes) with attributes 0-12, under every
+        # radius sequence of REFERENCE_RADII.
         digest = hashlib.sha256()
         rng = SplitMix64(1212)
         for trial in range(3 * len(REFERENCE_RADII)):
@@ -413,18 +390,12 @@ class TestAgainstReference:
                 p = 0.15 + 0.4 * rng.random()
             base = erdos_renyi(n, p, rng.next_u64())
             g = Graph(n, base.adjacency, tuple(rng.below(13) for _ in range(n)))
-            custom = None
-            if trial % 3 == 0:
-                custom = {
-                    v: node(leaf(g.attributes[v]), [leaf(rng.below(13))] * rng.below(3))
-                    for v in range(n)
-                }
-            encodings, counter = rnp_encode_nodes(g, radii, features=custom)
+            encodings, counter = rnp_encode_nodes(g, radii)
             for v in range(n):
                 digest.update(encodings[v])
             digest.update(repr(counter).encode())
         assert digest.hexdigest() == (
-            "804d7f780cb1a3125a298dcdce0ced0b73ee663b8fe33deb62c9c9f73948f450"
+            "7644ec89dde915423ab50ed1220717488b93eab2865d63ea9b494cda85af766e"
         )
 
 

@@ -52,6 +52,21 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(1, [], [-1])
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, (), ()), "node_count must be nonnegative"),
+            ((2, (0b10,), (0, 0)), "one row per node"),
+            ((2, (0b10, 0b01), (0,)), "one entry per node"),
+            ((2, (0b100, 0b00), (0, 0)), "row 0 references nodes out of range"),
+            ((2, (0b01, 0b00), (0, 0)), "self-loop at node 0"),
+        ],
+    )
+    def test_constructor_checks_rows_directly(self, args, message):
+        # Rows given directly, which from_edges never builds.
+        with pytest.raises(ValueError, match=message):
+            Graph(*args)
+
     def test_edges_and_degrees(self):
         g = cycle(6)
         assert g.edge_count == 6
@@ -346,6 +361,27 @@ class TestTextFormat:
             parse_graph("2 0\nattr 5 1\n")
         with pytest.raises(ParseError):
             parse_graph("2 0\nattr 0 1\nattr 0 2\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "missing header line"),
+            ("# only a comment\n\n", 3, "missing header line"),
+            ("3 x\n", 1, "header values must be integers"),
+            ("# c\n3 -1\n", 2, "header values must be nonnegative"),
+            ("-2 0\n", 1, "header values must be nonnegative"),
+            ("3 2\n0 1\n1\n", 3, "edge line must be"),
+            ("3 1\n0 1 2\n", 2, "edge line must be"),
+            ("3 1\n0 b\n", 2, "edge endpoints must be integers"),
+            ("2 0\nattr 0 x\n", 2, "attribute line values must be integers"),
+            ("2 0\nattr 1.5 1\n", 2, "attribute line values must be integers"),
+            ("2 1\n0 1\n\nattr 1 -3\n", 4, "attribute for node 1 must be nonnegative"),
+        ],
+    )
+    def test_parse_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_graph(text)
+        assert err.value.line == line
 
     def test_comments_and_attributes(self):
         text = "# a triangle with one marked node\n3 3\n0 1\n1 2\n0 2\nattr 2 9\n"
