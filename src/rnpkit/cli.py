@@ -84,6 +84,18 @@ def _parse_counts(text: str, what: str, single: bool = False) -> tuple[int, ...]
     return tuple(map(int, parts))
 
 
+def _parse_probability(text: str) -> float:
+    """An ASCII decimal number in [0, 1]: digits, then at most one ``.``
+    followed by digits.  ``float`` alone would also take underscores,
+    signs, spaces, exponents and non-ASCII digits."""
+    parts = text.split(".")
+    if len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts):
+        value = float(text)
+        if value <= 1.0:
+            return value
+    raise UserError(f"bad --p '{text}': expected a decimal number in [0, 1]")
+
+
 def _emit_json(payload: dict, out) -> None:
     out.write(json.dumps(payload) + "\n")
 
@@ -106,7 +118,7 @@ def _cmd_gen(args, out) -> int:
             setattr(args, name, _parse_counts(getattr(args, name), "--" + name, True)[0])
     try:
         if args.family == "er":
-            graphs = [erdos_renyi(args.n, args.p, args.seed)]
+            graphs = [erdos_renyi(args.n, _parse_probability(args.p), args.seed)]
         elif args.family == "regular":
             graphs = [random_regular_perturbed(args.n, args.d, args.delete, args.seed)]
         elif args.family == "prime-partite":
@@ -404,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     er = gen_sub.add_parser("er", help="uniform random graph")
     er.add_argument("--n", required=True)
-    er.add_argument("--p", type=float, required=True)
+    er.add_argument("--p", required=True)
     er.add_argument("--seed", required=True)
     er.add_argument("--out")
     reg = gen_sub.add_parser("regular", help="perturbed random regular graph")

@@ -2,16 +2,20 @@
 
 Random families are driven exclusively by the pinned SplitMix64 stream
 (see ``rng``), so a (parameters, seed) pair yields the same graph on any
-platform, forever.
+platform, forever.  The pairing model draws in blocks of ``_DRAW_BLOCK``
+values where no draw can be rejected, and otherwise falls back to the
+plain shuffle; either way its graphs and stream states are those of the
+shuffle-then-check definition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graph, UnsupportedSizeError, are_isomorphic, bits_of, component_mask
-from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, _MIX_MUL1, _MIX_MUL2, SplitMix64, _unmix
+from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
 
@@ -53,13 +57,20 @@ def check_regular_parameters(n: int, d: int, deletions: int) -> None:
         raise ValueError("cannot delete more edges than the regular graph has")
 
 
+# draws per ``next_block`` call of the pairing kernel; most attempts fail
+# within about 15 steps, and a block's draws past the failure are wasted
+_DRAW_BLOCK = 16
+
+
 @lru_cache(maxsize=8)
-def _stub_tables(stubs: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Shuffle step i's ``below(i + 1)`` rejection limit, for i < stubs,
-    and the states whose draw lands in the top ``stubs`` values, the only
-    ones those limits can reject."""
-    limits = tuple((1 << 64) - (1 << 64) % (i + 1) for i in range(stubs))
-    return limits, tuple(_unmix((1 << 64) - k) for k in range(1, stubs + 1))
+def _danger_positions(stubs: int) -> tuple[int, ...]:
+    """Sorted positions ``state * golden**-1 mod 2**64`` of the states whose
+    draw lands in the top ``stubs`` values: every draw that a shuffle
+    step's ``below(i + 1)``, i < stubs, may reject.  Each draw steps the
+    state by golden, so it steps the position by one."""
+    return tuple(sorted(
+        _unmix((1 << 64) - k) * _GOLDEN_INV & _MASK64 for k in range(1, stubs + 1)
+    ))
 
 
 def _pairing_model_edges(
@@ -68,59 +79,62 @@ def _pairing_model_edges(
     """Sorted edges of the first simple graph the pairing model draws.
 
     An attempt makes the draws of ``pairing.shuffle`` on the stub list
-    ``[0]*d + [1]*d + ...`` (SplitMix64 inlined) and fails if a pair
-    (2k, 2k + 1) is a loop or a repeated edge.  Shuffle step i fixes
-    position i, so pair (i, i + 1) is checked at even step i and pair
-    (0, 1) at the last step, i = 1.  A failed attempt skips its remaining
-    i - 1 draws by adding (i - 1) * golden to the state.  That is exact
-    unless one of them would be rejected by ``below``, so the skip is
-    taken only while the stream is before its first state in
-    ``_stub_tables``; past it, attempts finish draw by draw.  ``pairing``
-    is left as ``shuffle`` leaves it after the accepted attempt.  Returns
-    None if the attempt budget runs out.
+    ``[0]*d + [1]*d + ...`` and fails if a pair (2k, 2k + 1) is a loop or
+    a repeated edge.  Shuffle step i fixes position i, so pair (i, i + 1)
+    is checked at even step i and pair (0, 1) at the last step, i = 1.
+    Draws come ``_DRAW_BLOCK`` at a time from ``next_block``, which is
+    exact while no draw of the attempt could be rejected by ``below``:
+    then an attempt takes exactly m - 1 draws, and a failed one skips the
+    rest of them in one step.  An attempt that would reach the first
+    draw at one of the ``_danger_positions`` is instead run as the
+    definition, a whole ``shuffle`` whose pairs are checked afterwards,
+    and so is every attempt after it.  ``pairing`` is left as ``shuffle``
+    leaves it after the accepted attempt.  Returns None, with ``pairing``
+    unmoved, if the attempt budget runs out.
     """
     m = n * d
     if m == 0:
         return []
-    limits, danger = _stub_tables(m)
-    state = start = pairing._state
-    # the number of draws from ``start`` before the first that below() may reject
-    safe = min((t - start - _GOLDEN) * _GOLDEN_INV & _MASK64 for t in danger)
+    start = pairing._state
+    # the number of draws from ``start`` before the first that below() may
+    # reject: the distance from draw 1 to the next danger position, mod 2**64
+    first = (start + _GOLDEN) * _GOLDEN_INV & _MASK64
+    danger = _danger_positions(m)
+    safe = (danger[bisect_left(danger, first) % m] - first) & _MASK64
     stub_list = [v for v in range(n) for _ in range(d)]
-    for _ in range(_PAIRING_MAX_ATTEMPTS):
+    for attempt in range(1, _PAIRING_MAX_ATTEMPTS + 1):
         stubs = stub_list[:]
         rows = [0] * n
-        rejected = False
-        for i in range(m - 1, 0, -1):
-            limit = limits[i]
-            while True:
-                state = (state + _GOLDEN) & _MASK64
-                z = (state ^ (state >> 30)) * _MIX_MUL1 & _MASK64
-                z = (z ^ (z >> 27)) * _MIX_MUL2 & _MASK64
-                z ^= z >> 31
-                if z < limit:
+        if attempt * (m - 1) > safe:
+            pairing.shuffle(stubs)
+            for u, v in zip(stubs[::2], stubs[1::2]):
+                if u == v or rows[u] >> v & 1:
                     break
-            if rejected:
-                continue
-            j = z % (i + 1)
-            u = stubs[j]
-            stubs[j] = stubs[i]
-            stubs[i] = u
-            if i & 1 and i > 1:
-                continue
-            v = stubs[i ^ 1]
-            if u == v or rows[u] >> v & 1:
-                if ((state - start) * _GOLDEN_INV & _MASK64) + i - 1 <= safe:
-                    state = (state + (i - 1) * _GOLDEN) & _MASK64
-                    break
-                rejected = True
-                continue
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        else:
-            if not rejected:
-                pairing._state = state
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            else:
                 return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u << u)]
+            continue
+        for top in range(m - 1, 0, -_DRAW_BLOCK):
+            for i, z in zip(range(top, 0, -1), pairing.next_block(min(_DRAW_BLOCK, top))):
+                j = z % (i + 1)
+                u = stubs[j]
+                stubs[j] = stubs[i]
+                stubs[i] = u
+                if i & 1 and i > 1:
+                    continue
+                v = stubs[i ^ 1]
+                if u == v or rows[u] >> v & 1:
+                    break
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            else:
+                continue
+            pairing._state = (start + attempt * (m - 1) * _GOLDEN) & _MASK64
+            break
+        else:
+            return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u << u)]
+    pairing._state = start
     return None
 
 

@@ -6,9 +6,16 @@ purpose: graphs produced from a given seed must be bit-identical across
 runs, platforms and Python versions, because acceptance suites freeze
 values derived from them.  Do not swap this for ``random`` or a library
 generator whose stream may change between releases.
+
+``SplitMix64.next_block`` computes the next k draws together, as lanes of
+one integer, for loops that need many draws (the pairing model); its
+values and final state are those of k ``next_u64`` calls.
 """
 
 from __future__ import annotations
+
+import struct
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -24,6 +31,15 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX_MUL1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX_MUL2 & _MASK64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=64)
+def _lanes(k: int):
+    """For k draws in 128-bit lanes: the lane-replicating multiplier, the
+    golden steps of draws 1..k, the low-half mask and the unpacker."""
+    ones = sum(1 << 128 * s for s in range(k))
+    steps = sum((s + 1) * _GOLDEN << 128 * s for s in range(k))
+    return ones, steps, _MASK64 * ones, struct.Struct("<" + "Q8x" * k).unpack
 
 
 def _unxorshift(z: int, shift: int) -> int:
@@ -58,6 +74,22 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
+
+    def next_block(self, k: int) -> tuple[int, ...]:
+        """The next k values of ``next_u64``, computed together.
+
+        Draw s sits in 128-bit lane s of one integer: its low 64 bits hold
+        the value, and its high 64 bits take each product's carry and the
+        bits a right shift brings down from lane s + 1.  The lane mask
+        clears both before they can reach a low half.
+        """
+        ones, steps, lanes, unpack = _lanes(k)
+        state = self._state
+        self._state = (state + k * _GOLDEN) & _MASK64
+        z = (state * ones + steps) & lanes
+        z = (z ^ z >> 30 & lanes) * _MIX_MUL1 & lanes
+        z = (z ^ z >> 27 & lanes) * _MIX_MUL2 & lanes
+        return unpack((z ^ z >> 31).to_bytes(16 * k, "little"))
 
     def split(self, index: int) -> "SplitMix64":
         return SplitMix64(_mix(self._seed ^ _mix((index + 1) * _GOLDEN & _MASK64)))

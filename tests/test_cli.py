@@ -248,6 +248,22 @@ class TestNumberLists:
         assert run(["gen", *argv[:-1], f"{argv[-1]}={text}"]) == (2, "")
         assert f"bad {option} '{text}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0.0_5", "\u0660.\u0665", " 0.5", "0.5 ", "+0.5", "-0.5", "1e-1", ".5", "0.",
+         "0..5", "0.5.1", "nan", "inf", "1.5", "2", ""],
+    )
+    def test_probability_rejects_anything_but_an_ascii_decimal_in_range(self, capsys, text):
+        assert run(["gen", "er", "--n", "10", f"--p={text}", "--seed", "1"]) == (2, "")
+        err = capsys.readouterr().err
+        assert f"bad --p '{text}': expected a decimal number in [0, 1]" in err
+
+    @pytest.mark.parametrize("text, p", [("0", 0.0), ("1", 1.0), ("1.000", 1.0), ("0.05", 0.05)])
+    def test_probability_decimals_still_parse(self, text, p):
+        code, out = run(["gen", "er", "--n", "10", "--p", text, "--seed", "1"])
+        assert code == 0
+        assert out == serialize_graph(erdos_renyi(10, p, 1))
+
     def test_multi_digit_radii_still_parse(self, tmp_path):
         g = write_graph(tmp_path, "c6.txt", cycle(6))
         code, text = run(["complexity", g, "--radii", "10,01"])

@@ -25,6 +25,7 @@ from rnpkit import (
     random_regular_perturbed,
     star,
 )
+from rnpkit import generators
 from rnpkit.generators import _pairing_model_edges
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
@@ -109,6 +110,19 @@ class TestRandomRegular:
             "f6be9f5d433131e1e7108784f48c673f34669e055855036e67c919a95d31778b"
         )
 
+    def test_pinned_dense_and_wide_output(self):
+        # sha256 over the edge lists of denser and wider specs than the
+        # pinned grid reaches (d up to 6, n up to 1,000), computed with the
+        # draw-by-draw pairing kernel before block draws replaced it;
+        # (10, 6, 2) at seed 1 takes the complement path
+        digest = hashlib.sha256()
+        for n, d, deletions, seed in _pinned_dense_and_wide():
+            g = random_regular_perturbed(n, d, deletions, seed)
+            digest.update(f"{n},{d},{deletions},{seed}:{g.edges()}\n".encode())
+        assert digest.hexdigest() == (
+            "705ab7b329b0dd9d301f696a875c49c1e65995500ecc0e7d8dd502d2062fc7de"
+        )
+
     @pytest.mark.parametrize("d", [6, 7, 8])
     def test_dense_degree_uses_the_complement(self, d):
         # (10, d) exhausts the pairing model's budget at seed 1; the graph
@@ -139,6 +153,18 @@ def _pinned_grid():
                         yield n, d, deletions, seed
     for trial in range(2000):
         yield 10, 3, 1, 1_000_000 + trial
+
+
+def _pinned_dense_and_wide():
+    for seed in range(4):
+        for deletions in (0, 3):
+            yield 10, 5, deletions, seed
+        yield 12, 5, 0, seed
+        if seed < 3:
+            yield 10, 6, 2, seed
+    for seed in range(2):
+        yield 200, 3, 0, seed
+        yield 1000, 3, 0, seed
 
 
 @st.composite
@@ -210,9 +236,13 @@ class TestPairingKernel:
         # Stream SplitMix64(t - k * golden) makes draw k the value x = _mix(t).
         # x = 2**64 - 1 is rejected by every below(b) whose b is not a power
         # of two; x = 2**64 - n*d lies in no rejection zone but is still
-        # treated as dangerous.  The sweep must place a rejected draw first,
-        # a rejected draw in a skipped tail, and a danger state at the final
-        # draw (b = 2 there, which rejects nothing).
+        # treated as dangerous.  An attempt whose draws would reach such a
+        # draw, and every attempt after it, runs as a whole shuffle checked
+        # afterwards instead of in blocks.  The sweep must place a rejected
+        # draw first (so the first attempt falls back), a rejected draw in
+        # the tail that a failed block attempt skips (so the fallback starts
+        # before that attempt, not inside it), and a danger state at the
+        # final draw (b = 2 there, which rejects nothing).
         covered = set()
         for n, d in [(4, 1), (6, 2), (8, 3), (10, 3)]:
             m = n * d
@@ -230,10 +260,35 @@ class TestPairingKernel:
                         covered.add("last")
         assert covered == {"first", "tail", "last"}
 
+    def test_exhausted_budget_leaves_the_stream_unmoved(self, monkeypatch):
+        monkeypatch.setattr(generators, "_PAIRING_MAX_ATTEMPTS", 3)
+        pairing = SplitMix64(1).split(0)
+        assert _pairing_model_edges(10, 8, pairing) is None
+        assert pairing.next_u64() == SplitMix64(1).split(0).next_u64()
+
     def test_degree_zero_draws_nothing(self):
         pairing = SplitMix64(3)
         assert _pairing_model_edges(7, 0, pairing) == []
         assert pairing.next_u64() == SplitMix64(3).next_u64()
+
+
+@st.composite
+def _block_requests(draw):
+    """(state, k): any state, or one that puts the state of draw j <= k
+    within 3 of the 64-bit wrap, where lane j's sum just carries or not."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    j = draw(st.integers(min_value=1, max_value=k))
+    near_wrap = (draw(st.integers(min_value=-3, max_value=3)) - j * _GOLDEN) & _MASK64
+    return draw(st.one_of(st.just(near_wrap), st.integers(0, _MASK64))), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_requests())
+def test_next_block_matches_next_u64(request):
+    state, k = request
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    assert block.next_block(k) == tuple(scalar.next_u64() for _ in range(k))
+    assert block._state == scalar._state
 
 
 @settings(max_examples=300, deadline=None)
