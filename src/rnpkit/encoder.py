@@ -12,25 +12,32 @@ bytes mean equal trees by construction, and no learned components or
 hashes are involved in equality decisions.
 
 The last recursion level is built in its parent.  A context whose radius
-tail has one entry makes, once, every mark its leaf contexts can need:
-for each member u and flag b, the own value ``M<b>f(u)`` and that value
-marked as a near (``M1``) and, when the last radius is above 1, a far
-(``M0``) child.  A leaf context names a member whose flag is 0 by its
-index plus n, so one table lookup picks each member's variant, and one
-leaf routine encodes its members with no per-context tables and no
-further recursion.  The same routine encodes the whole graph under a
-radius sequence of length 1.
+tail has one entry makes, once, what its leaf contexts need: the mark
+classes below, or else for each member u and flag b, the own value
+``M<b>f(u)`` and that value marked as a near (``M1``) and, when the last
+radius is above 1, a far (``M0``) child.  A leaf context names a member
+whose flag is 0 by its index plus n, so one table lookup picks each
+member's variant, and one leaf routine encodes its members with no
+per-context tables and no further recursion.  The same routine encodes
+the whole graph under a radius sequence of length 1.
 
 A radius-1 leaf's children are its neighbours in the leaf context, each
-marked near.  When the parent's members' own values take at most four
-distinct byte strings (every unattributed graph under at most three
-radii: near or far at two depths), the parent also sorts them into those
-classes, in ascending byte order, with one member mask each.  A leaf
-value is then the head ``N<own>[``, each class's child mark repeated as
-many times as the member has neighbours in the class (one popcount), and
-``]``.  Every child in a class is the same bytes, so this is the sorted
-join of the children, with no child lookups and no sort.  More values,
-or a last radius above 1, take one lookup per child and a sort.
+marked near.  When the leaf members' own values take m <= 4
+distinct byte strings f_1 < ... < f_m (every unattributed graph under at
+most three radii: near or far at two depths), a leaf value is
+``N<f>[``, then ``M1 f_i`` repeated c_i times for each i, then ``]``,
+where c_i is the member's number of neighbours of class i (one popcount
+over a class mask).  The leaf gives it as an integer key instead: with
+b = n.bit_length() and M = 2**b - 1, the rank of f above four b-bit
+fields M - c_1, ..., M - c_4 (c_i = 0 past m).  Heads sort as their f
+do, values are prefix-free, and ``]`` sorts above every mark's ``M``, so
+a value with more copies of a smaller mark sorts first: ascending keys
+are ascending values, and equal keys are equal values.  The parent sorts
+its leaves' keys and joins their bytes from a table per (b, classes)
+that lives for the process, since graphs share most leaf values; the
+tables hold at most ``_LEAF_TABLE_CAP`` entries together and are cleared
+when they reach it.  More values, or a last radius above 1, take one
+lookup per child and a sort.
 
 Byte grammar (every value is self-delimiting, so concatenations parse
 uniquely and injectivity holds structurally):
@@ -122,11 +129,53 @@ class _BitTable(dict):
         return bits
 
 
-# A leaf's children by mark class: up to four (child mark, member mask)
-# pairs in ascending byte order of the marks, padded with (b"", 0).
-_Slots = tuple[tuple[Encoding, int], ...]
+# A radius-1 leaf value's key -> its bytes, one table per (key width b, mark
+# classes), kept for the process: graphs share most of their leaf values.
+# The tables and their entries together are capped; reaching the cap clears
+# them all.
+_LEAF_TABLE_CAP = 1 << 16
+_leaf_tables: dict[tuple[int, tuple[Encoding, ...]], _LeafTable] = {}
+_leaf_table_entries = 0
+
+
+def _count_leaf_table_entry() -> None:
+    """Count a new table or entry, after clearing every table at the cap."""
+    global _leaf_table_entries
+    if _leaf_table_entries >= _LEAF_TABLE_CAP:
+        for table in _leaf_tables.values():
+            table.clear()
+        _leaf_tables.clear()
+        _leaf_table_entries = 0
+    _leaf_table_entries += 1
+
+
+class _LeafTable(dict):
+    """Key -> ``N<f_rank>[`` + (``M1`` f_i) x c_i for each class i + ``]``."""
+
+    __slots__ = ("width", "heads", "marks")
+
+    def __init__(self, width: int, classes: tuple[Encoding, ...]):
+        self.width = width
+        self.heads = [b"N" + f + b"[" for f in classes]
+        self.marks = [b"M1" + f for f in classes]
+
+    def __missing__(self, key: int) -> Encoding:
+        _count_leaf_table_entry()
+        b = self.width
+        top = (1 << b) - 1
+        value = self[key] = b"".join([
+            self.heads[key >> 4 * b],
+            *[m * (top - (key >> (3 - i) * b & top)) for i, m in enumerate(self.marks)],
+            b"]",
+        ])
+        return value
+
+
+# Leaf keys from: each member's key with every count 0, the four class masks
+# (0 past m), the field shifts b, 2b and 3b, and the table.
+_LeafKeys = tuple[dict[int, int], int, int, int, int, int, int, int, _LeafTable]
 _LeafMarks = tuple[
-    dict[int, Encoding], dict[int, Encoding], dict[int, Encoding], _Slots | None
+    dict[int, Encoding], dict[int, Encoding], dict[int, Encoding], _LeafKeys | None
 ]
 
 
@@ -138,32 +187,27 @@ def _encode_leaves(
     depth: int,
     stats: _Stats,
     bits: _BitTable,
-) -> list[Encoding]:
+) -> list[Encoding] | list[int]:
     """Values of the members of a last-level context, in ascending index order.
 
     ``marks`` holds, by member index, its own value and that value marked
-    as a near (``M1``) and, for r > 1, a far (``M0``) child; or, when
-    ``_leaf_marks`` made class slots, each member's head ``N<own>[`` and
-    the slots.
+    as a near (``M1``) and, for r > 1, a far (``M0``) child; or the key
+    parts from ``_leaf_keys``.  Then the values come as keys, which map to
+    the values through the table and sort as the values do.
     """
     stats.enter_context(depth, ctx_mask.bit_count())
-    own, near_marks, far_marks, slots = marks
-    values = []
-    if slots is not None:
-        # Every child in a class is the same bytes and the classes are in
-        # byte order, so the repeated class marks are the sorted children.
-        (m1, k1), (m2, k2), (m3, k3), (m4, k4) = slots
+    own, near_marks, far_marks, keyed = marks
+    if keyed is not None:
+        base, k1, k2, k3, k4, s1, s2, s3, _ = keyed
+        keys = []
         for w in bits[ctx_mask]:
             a = adjacency[w] & ctx_mask
-            values.append(b"".join((
-                own[w],
-                m1 * (a & k1).bit_count(),
-                m2 * (a & k2).bit_count(),
-                m3 * (a & k3).bit_count(),
-                m4 * (a & k4).bit_count(),
-                b"]",
-            )))
-        return values
+            keys.append(base[w] - (
+                (a & k1).bit_count() << s3 | (a & k2).bit_count() << s2
+                | (a & k3).bit_count() << s1 | (a & k4).bit_count()
+            ))
+        return keys
+    values = []
     for w in bits[ctx_mask]:
         adj_w = adjacency[w]
         if r == 1:
@@ -178,21 +222,38 @@ def _encode_leaves(
     return values
 
 
-def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
-    """Leaf marks from the members' own values, class slots when they apply.
+def _value_classes(own: dict[int, Encoding]) -> dict[Encoding, int]:
+    """Each distinct value -> the mask of the members that have it."""
+    classes: dict[Encoding, int] = {}
+    for u, f in own.items():
+        classes[f] = classes.get(f, 0) | 1 << u
+    return classes
 
-    A radius-1 leaf whose members' values take at most four byte strings
-    gets heads and slots (see the module docstring); any other leaf gets
-    the own values and the near and far child marks.
-    """
-    if r == 1 and len(set(own.values())) <= 4:
-        classes: dict[Encoding, int] = {}
-        for u, f in own.items():
-            classes[f] = classes.get(f, 0) | 1 << u
-        slots = [(b"M1" + f, k) for f, k in sorted(classes.items())]
-        slots += [(b"", 0)] * (4 - len(slots))
-        heads = {u: b"N" + f + b"[" for u, f in own.items()}
-        return heads, {}, {}, tuple(slots)
+
+def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys | None:
+    """What radius-1 leaves in an n-node graph build their keys from, when
+    their members' values (``_value_classes``) take at most four byte
+    strings; see the module docstring."""
+    if len(classes) > 4:
+        return None
+    width = n.bit_length()
+    order = tuple(sorted(classes))
+    masks = [classes[f] for f in order] + [0] * (4 - len(order))
+    top = 1 << 4 * width
+    base: dict[int, int] = {}
+    for rank, f in enumerate(order):
+        # The class rank above four count fields at their top M.
+        base.update(dict.fromkeys(bits_of(classes[f]), (rank + 1) * top - 1))
+    table = _leaf_tables.get((width, order))
+    if table is None:
+        _count_leaf_table_entry()
+        table = _leaf_tables[width, order] = _LeafTable(width, order)
+    return base, *masks, width, 2 * width, 3 * width, table
+
+
+def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
+    """Leaf marks without keys: the members' own values and the near and,
+    for r > 1, far child marks."""
     return own, {u: b"M1" + f for u, f in own.items()}, (
         {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
     ), None
@@ -220,14 +281,27 @@ def _encode_context(
     # Screened members adjacent to v ("near") carry flag 1, the rest of the
     # ball ("far") flag 0; member u's flag-0 mark is kept under u + n.  A
     # radius-1 ball is v's neighbours in the context, so it needs no BFS
-    # and no flag-0 marks.
-    tagged_marks = {u: b"M1" + f for u, f in own.items()}
-    if r1 > 1:
-        tagged_marks.update({u + n: b"M0" + f for u, f in own.items()})
-    if len(tail) == 1:
-        # Every leaf context below takes its marks from these tables and
-        # names a far member u as u + n, so the index picks the flag.
-        marks = _leaf_marks(tagged_marks, tail[0])
+    # and no flag-0 marks.  Every leaf context below takes its marks from
+    # these tables, or its key parts from these classes, and names a far
+    # member u as u + n, so the index picks the flag.
+    keyed = None
+    if tail == (1,):
+        classes = _value_classes(own)
+        leaf_classes = {b"M1" + f: k for f, k in classes.items()}
+        if r1 > 1:
+            leaf_classes.update({b"M0" + f: k << n for f, k in classes.items()})
+        keyed = _leaf_keys(leaf_classes, n)
+    lookup = None
+    if keyed is not None:
+        marks = {}, {}, {}, keyed
+        # The leaves give keys, which sort as their values do.
+        lookup = keyed[-1].__getitem__
+    else:
+        tagged_marks = {u: b"M1" + f for u, f in own.items()}
+        if r1 > 1:
+            tagged_marks.update({u + n: b"M0" + f for u, f in own.items()})
+        if len(tail) == 1:
+            marks = _leaf_marks(tagged_marks, tail[0])
     out: dict[int, Encoding] = {}
     for v in bits[ctx_mask]:
         adj_v = adjacency[v]
@@ -252,6 +326,8 @@ def _encode_context(
                 ).values()
             )
         children.sort()
+        if lookup is not None:
+            children = map(lookup, children)
         out[v] = b"N" + own[v] + b"[" + b"".join(children) + b"]"
     return out
 
@@ -273,9 +349,11 @@ def rnp_encode_nodes(
     full = (1 << n) - 1
     bits = _BitTable()
     if len(radii) == 1:
-        values = _encode_leaves(
-            adjacency, full, radii[0], _leaf_marks(own, radii[0]), 0, stats, bits
-        )
+        keyed = _leaf_keys(_value_classes(own), n) if radii == (1,) else None
+        marks = _leaf_marks(own, radii[0]) if keyed is None else ({}, {}, {}, keyed)
+        values = _encode_leaves(adjacency, full, radii[0], marks, 0, stats, bits)
+        if keyed is not None:
+            values = map(keyed[-1].__getitem__, values)
         encodings = dict(zip(range(n), values))
     else:
         encodings = _encode_context(adjacency, full, own, radii, 0, stats, bits)

@@ -169,18 +169,6 @@ def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph
     return Graph.from_edges(n, edges)
 
 
-def primes_below(x: int) -> list[int]:
-    """Ascending primes strictly below x (sieve of Eratosthenes)."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    sieve = bytearray([1]) * x
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(x**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(x) if sieve[i]]
-
-
 def _is_prime(x: int) -> bool:
     if x < 2:
         return False

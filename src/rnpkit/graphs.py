@@ -155,39 +155,6 @@ def permuted(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.node_count, tuple(rows), tuple(attrs))
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    shift = a.node_count
-    rows = list(a.adjacency) + [row << shift for row in b.adjacency]
-    return Graph(a.node_count + b.node_count, tuple(rows), a.attributes + b.attributes)
-
-
-def _check_node(g: Graph, v: int) -> None:
-    if not (0 <= v < g.node_count):
-        raise ValueError(f"node {v} out of range for graph with {g.node_count} nodes")
-
-
-def neighborhood(g: Graph, v: int, radius: int) -> frozenset[int]:
-    """All nodes at shortest-path distance <= radius from v, including v."""
-    _check_node(g, v)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    full = (1 << g.node_count) - 1
-    return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v, radius))))
-
-
-def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on ``members``, plus the old-index -> new-index map.
-
-    New indices follow ascending old index, so the result is deterministic.
-    """
-    selected = sorted(set(members))
-    for v in selected:
-        _check_node(g, v)
-    attrs = tuple(g.attributes[u] for u in selected)
-    sub = Graph(len(selected), _induced_rows(g, selected), attrs)
-    return sub, {u: i for i, u in enumerate(selected)}
-
-
 def _induced_rows(g: Graph, nodes: Sequence[int]) -> tuple[int, ...]:
     # Adjacency rows of the subgraph induced on ``nodes``; row i is nodes[i].
     rows = []
@@ -221,20 +188,6 @@ def bfs_layers(
         seen |= frontier
         layers.append(frontier)
     return layers
-
-
-def all_pairs_shortest_paths(g: Graph) -> tuple[tuple[int | float, ...], ...]:
-    """Exact unweighted BFS distances; INFINITY across components."""
-    n = g.node_count
-    full = (1 << n) - 1
-    rows = []
-    for v in range(n):
-        dist: list[int | float] = [INFINITY] * n
-        for level, layer in enumerate(bfs_layers(g.adjacency, full, v)):
-            for u in bits_of(layer):
-                dist[u] = level
-        rows.append(tuple(dist))
-    return tuple(rows)
 
 
 def is_connected(g: Graph) -> bool:

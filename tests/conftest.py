@@ -9,9 +9,9 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 import rnpkit
-from rnpkit import Graph, SplitMix64, erdos_renyi
+from rnpkit import INFINITY, Graph, SplitMix64, erdos_renyi
 from rnpkit.generators import _PAIRING_MAX_ATTEMPTS
-from rnpkit.graphs import bits_of
+from rnpkit.graphs import bfs_layers, bits_of
 
 _SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
 
@@ -49,6 +49,68 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     perm = list(range(n))
     SplitMix64(seed).shuffle(perm)
     return perm
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    shift = a.node_count
+    rows = list(a.adjacency) + [row << shift for row in b.adjacency]
+    return Graph(a.node_count + b.node_count, tuple(rows), a.attributes + b.attributes)
+
+
+def _check_node(g: Graph, v: int) -> None:
+    if not (0 <= v < g.node_count):
+        raise ValueError(f"node {v} out of range for graph with {g.node_count} nodes")
+
+
+def neighborhood(g: Graph, v: int, radius: int) -> frozenset[int]:
+    """All nodes at shortest-path distance <= radius from v, including v."""
+    _check_node(g, v)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    full = (1 << g.node_count) - 1
+    return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v, radius))))
+
+
+def induced_subgraph(g: Graph, members) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced on ``members``, plus the old-index -> new-index map.
+
+    New indices follow ascending old index, so the result is deterministic.
+    """
+    selected = sorted(set(members))
+    for v in selected:
+        _check_node(g, v)
+    edges = [
+        (i, j) for i, j in combinations(range(len(selected)), 2)
+        if g.has_edge(selected[i], selected[j])
+    ]
+    sub = Graph.from_edges(len(selected), edges, [g.attributes[u] for u in selected])
+    return sub, {u: i for i, u in enumerate(selected)}
+
+
+def all_pairs_shortest_paths(g: Graph) -> tuple[tuple[int | float, ...], ...]:
+    """Exact unweighted BFS distances; INFINITY across components."""
+    n = g.node_count
+    full = (1 << n) - 1
+    rows = []
+    for v in range(n):
+        dist: list[int | float] = [INFINITY] * n
+        for level, layer in enumerate(bfs_layers(g.adjacency, full, v)):
+            for u in bits_of(layer):
+                dist[u] = level
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def primes_below(x: int) -> list[int]:
+    """Ascending primes strictly below x (sieve of Eratosthenes)."""
+    if x < 2:
+        raise ValueError("x must be at least 2")
+    sieve = bytearray([1]) * x
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(x**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return [i for i in range(x) if sieve[i]]
 
 
 def all_graphs(k: int):

@@ -18,7 +18,6 @@ from rnpkit import (
     count_induced,
     count_noninduced,
     cycle,
-    disjoint_union,
     encoding_digest,
     erdos_renyi,
     family_covering_sequence,
@@ -34,10 +33,10 @@ from rnpkit import (
     two_triangles,
     update_bound,
 )
-from rnpkit import cli
+from rnpkit import cli, generators
 from rnpkit.cli import main
 
-from conftest import cli_env, graph_strategy, reference_wl_histogram
+from conftest import cli_env, disjoint_union, graph_strategy, reference_wl_histogram
 
 
 def run(argv):
@@ -801,6 +800,35 @@ class TestExitCodes:
         tt = write_graph(tmp_path, "tt.txt", two_triangles())
         code, text = run(["experiment", experiment_spec(tmp_path, patterns=[tt])])
         assert (code, text) == (2, "")
+
+    def test_dense_regular_failing_every_seed_exits_before_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # (16, 7) passes validation, but the pairing model finds neither a
+        # 7-regular graph nor its complement at seed 1; a small budget
+        # fails the same way, fast.
+        monkeypatch.setattr(generators, "_PAIRING_MAX_ATTEMPTS", 20)
+        spec = experiment_spec(
+            tmp_path, generator={"kind": "regular", "n": 16, "d": 7, "delete": 0},
+            trials=1, base_seed=1, patterns=[], radii=[1], checks=[],
+        )
+        assert run(["experiment", spec]) == (2, "")
+        err = capsys.readouterr().err
+        assert "trial 0 (seed 1): the pairing model drew no simple 7-regular graph" in err
+
+    def test_generator_failure_at_a_later_trial_follows_its_rows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failing_at_seed_2(gen, seed):
+            if seed == 2:
+                raise ValueError("no graph at this seed")
+            return erdos_renyi(6, 0.5, seed), "fixed"
+
+        monkeypatch.setattr(cli, "_generate_trial", failing_at_seed_2)
+        code, text = run(["experiment", experiment_spec(tmp_path, trials=4)])
+        assert code == 2
+        assert [row[0] for row in csv.reader(io.StringIO(text))] == ["trial", "0", "1"]
+        assert "trial 2 (seed 2): no graph at this seed" in capsys.readouterr().err
 
 
 class TestBrokenPipe:

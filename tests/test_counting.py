@@ -21,7 +21,6 @@ from rnpkit import (
     cycle,
     enumerate_connected_graphs,
     erdos_renyi,
-    induced_subgraph,
     is_connected,
     path,
     permuted,
@@ -33,6 +32,7 @@ from rnpkit.counting import _connected_census, _key_rows
 from conftest import (
     all_graphs,
     graph_strategy,
+    induced_subgraph,
     reference_embeddings,
     seeded_graph,
     seeded_permutation,

@@ -1,5 +1,6 @@
 import hashlib
 from collections import defaultdict
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from rnpkit import (
     update_bound,
 )
 
-from rnpkit.encoder import _leaf_marks
+from rnpkit import encoder
+from rnpkit.encoder import _leaf_keys, _leaf_tables, _value_classes
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
@@ -316,19 +318,91 @@ class TestAgainstReference:
         )
         assert invocations == 111_786
 
-    def test_leaf_class_slots_need_radius_one_and_four_values(self):
-        # Slots are sorted by mark bytes (L10; before L1;) and padded to
-        # four; a fifth value or a leaf radius above 1 keeps the per-child
-        # path.
+    def test_leaf_keys_need_radius_one_and_four_values(self, monkeypatch):
+        # Classes are ranked by bytes (L10; before L1;) and their masks
+        # padded to four; a fifth value or a leaf radius above 1 keeps the
+        # per-child path.
         own = {0: b"L1;", 1: b"L10;", 2: b"L1;", 5: b"L0;"}
-        heads, _, _, slots = _leaf_marks(own, 1)
-        assert slots == (
-            (b"M1L0;", 1 << 5), (b"M1L10;", 0b10), (b"M1L1;", 0b101), (b"", 0)
+        assert _value_classes(own) == {b"L1;": 0b101, b"L10;": 0b10, b"L0;": 1 << 5}
+        base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(_value_classes(own), 6)
+        assert (k1, k2, k3, k4) == (1 << 5, 0b10, 0b101, 0)
+        assert (s1, s2, s3) == (3, 6, 9)
+        assert base == {0: (3 << 12) - 1, 1: (2 << 12) - 1, 2: (3 << 12) - 1,
+                        5: (1 << 12) - 1}
+        assert table is _leaf_tables[3, (b"L0;", b"L10;", b"L1;")]
+        # Member 0 with one L0; neighbour and two L1; neighbours.
+        assert table[base[0] - (1 << s3 | 2 << s1)] == node(
+            own[0], [marked(b"L1;", 1), marked(b"L0;", 1), marked(b"L1;", 1)]
         )
-        assert heads == {u: b"N" + f + b"[" for u, f in own.items()}
-        assert _leaf_marks({u: b"L%d;" % u for u in range(4)}, 1)[3] is not None
-        assert _leaf_marks({u: b"L%d;" % u for u in range(5)}, 1)[3] is None
-        assert _leaf_marks(own, 2)[3] is None
+        assert _leaf_keys(_value_classes({u: b"L%d;" % u for u in range(4)}), 4)
+        assert _leaf_keys(_value_classes({u: b"L%d;" % u for u in range(5)}), 5) is None
+        monkeypatch.setattr(encoder, "_leaf_keys", None)
+        g = erdos_renyi(9, 0.4, 3)
+        feats = {v: leaf(0) for v in range(9)}
+        for radii in [(2,), (1, 2), (2, 2)]:
+            expected = reference_encode(set(range(9)), g, feats, radii)
+            assert rnp_encode_nodes(g, radii)[0] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.booleans(), max_size=2), st.sampled_from([0, 1, 2, 10, 12])),
+            min_size=1, max_size=4, unique_by=lambda t: (tuple(t[0]), t[1]),
+        ),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 3), st.lists(st.floats(0, 1), min_size=4,
+                                                         max_size=4)),
+                 min_size=1, max_size=6),
+    )
+    def test_leaf_key_order_is_byte_order(self, drawn_classes, n, drawn_leaves):
+        # Marks of unequal length (L1;, L10;, L2;), flagged up to twice, and
+        # every count from 0 to M = 2**b - 1.
+        classes = sorted(reduce(marked, flags, leaf(a)) for flags, a in drawn_classes)
+        m = len(classes)
+        base, _, _, _, _, s1, s2, s3, table = _leaf_keys(
+            _value_classes(dict(enumerate(classes))), n
+        )
+        top = (1 << n.bit_length()) - 1
+        keys, values = [], []
+        for rank, fractions in drawn_leaves:
+            w = rank % m
+            c = [round(x * top) for x in fractions[:m]] + [0] * (4 - m)
+            keys.append(base[w] - (c[0] << s3 | c[1] << s2 | c[2] << s1 | c[3]))
+            values.append(node(classes[w], [
+                marked(classes[i], 1) for i in range(m) for _ in range(c[i])
+            ]))
+        assert [table[k] for k in keys] == values
+        assert [table[k] for k in sorted(keys)] == sorted(values)
+        for x, y in zip(keys, values):
+            for x2, y2 in zip(keys, values):
+                assert (x < x2) == (y < y2) and (x == x2) == (y == y2)
+
+    def test_warm_tables_of_other_widths_are_never_misread(self):
+        # b = n.bit_length() changes at 8 and 16; unattributed graphs give
+        # every width the same mark classes.
+        for n in (7, 8, 15, 16, 7, 16, 8, 15):
+            g = erdos_renyi(n, 0.4, 77 + n)
+            feats = {v: leaf(0) for v in range(n)}
+            for radii in [(1,), (1, 1), (2, 1), (3, 2, 1)]:
+                expected = reference_encode(set(range(n)), g, feats, radii)
+                assert rnp_encode_nodes(g, radii)[0] == expected
+        widths = {width for width, classes in _leaf_tables if classes == (b"L0;",)}
+        assert {3, 4, 5} <= widths
+
+    def test_leaf_tables_cleared_at_their_cap(self, monkeypatch):
+        # The 12 graphs have far more than 8 distinct leaf values, so the
+        # tables stay within the cap only by being cleared.
+        monkeypatch.setattr(encoder, "_LEAF_TABLE_CAP", 8)
+        monkeypatch.setattr(encoder, "_leaf_table_entries", 8)
+        encoder._count_leaf_table_entry()  # at the cap: clears the tables
+        assert not _leaf_tables
+        feats = {v: leaf(0) for v in range(12)}
+        for seed in range(12):
+            g = erdos_renyi(12, 0.35, seed)
+            expected = reference_encode(set(range(12)), g, feats, (2, 1))
+            assert rnp_encode_nodes(g, (2, 1))[0] == expected
+            held = len(_leaf_tables) + sum(map(len, _leaf_tables.values()))
+            assert held <= encoder._leaf_table_entries <= 8
 
     @settings(max_examples=60, deadline=None)
     @given(

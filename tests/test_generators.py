@@ -21,7 +21,6 @@ from rnpkit import (
     path,
     pattern,
     prime_partite,
-    primes_below,
     random_regular_perturbed,
     star,
 )
@@ -29,7 +28,7 @@ from rnpkit import generators
 from rnpkit.generators import _pairing_model_edges
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
-from conftest import reference_pairing_edges
+from conftest import primes_below, reference_pairing_edges
 
 
 class TestErdosRenyi:

@@ -9,15 +9,11 @@ from rnpkit import (
     Graph,
     ParseError,
     UnsupportedSizeError,
-    all_pairs_shortest_paths,
     are_isomorphic,
     canonical_code,
     complete,
     cycle,
-    disjoint_union,
-    induced_subgraph,
     is_connected,
-    neighborhood,
     parse_graph,
     path,
     permuted,
@@ -28,7 +24,11 @@ from rnpkit.graphs import bfs_layers, bits_of
 
 from conftest import (
     all_graphs,
+    all_pairs_shortest_paths,
+    disjoint_union,
     graph_strategy,
+    induced_subgraph,
+    neighborhood,
     seeded_graph,
     seeded_permutation,
     wide_sparse_graph_strategy,
