@@ -10,8 +10,9 @@ from itertools import combinations
 from math import comb, prod
 
 from rnpkit import (
+    Graph,
+    PatternCensus,
     complete,
-    count_all_patterns,
     count_induced,
     count_noninduced,
     cycle,
@@ -43,8 +44,11 @@ def main() -> None:
           f"{3 * count_induced(g, triangle)}")
 
     print("\nComplete histogram of induced 3-node patterns:")
-    hist = count_all_patterns(g, 3)
-    print(f"  {len(hist)} classes, total {sum(hist.values())} = C(10,3) = {comb(10, 3)}")
+    # The four 3-node graphs; the census sends the two disconnected ones
+    # to count_induced.
+    three_node = [Graph.from_edges(3), Graph.from_edges(3, [(0, 1)]), three_path, triangle]
+    hist = PatternCensus(three_node).counts(g)
+    print(f"  {sum(c > 0 for c in hist)} classes, total {sum(hist)} = C(10,3) = {comb(10, 3)}")
 
     print("\nPrime-partite family: complete multipartite graphs with prime part")
     print("sizes have pairwise-distinct triangle counts (products of primes),")

@@ -9,7 +9,6 @@ a 1-WL refinement baseline, and seeded graph generators.
 from .counting import (
     PatternCensus,
     automorphism_count,
-    count_all_patterns,
     count_induced,
     count_noninduced,
 )
@@ -54,7 +53,6 @@ from .graphs import (
     ParseError,
     UnsupportedSizeError,
     are_isomorphic,
-    canonical_code,
     is_connected,
     parse_graph,
     permuted,
@@ -75,9 +73,7 @@ __all__ = [
     "admits",
     "are_isomorphic",
     "automorphism_count",
-    "canonical_code",
     "complete",
-    "count_all_patterns",
     "count_induced",
     "count_noninduced",
     "covering_distance",

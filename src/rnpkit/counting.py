@@ -21,7 +21,6 @@ from typing import Sequence
 from .graphs import (
     Graph,
     UnsupportedSizeError,
-    _canonical_code,
     _embeddings,
     _induced_rows,
     bits_of,
@@ -31,7 +30,6 @@ from .graphs import (
 MAX_PATTERN_NODES = 8
 MAX_HOST_NODES = 64
 MAX_HISTOGRAM_PATTERN_NODES = 5
-MAX_HISTOGRAM_HOST_NODES = 40
 
 
 def _check_pattern_size(h: Graph) -> None:
@@ -94,27 +92,6 @@ def count_noninduced(g: Graph, h: Graph) -> int:
         return 1
     embeddings = _embeddings(h.adjacency, h.attributes, g.adjacency, g.attributes, False)
     return embeddings // automorphism_count(h)
-
-
-def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:
-    """Histogram of all k-node induced subgraph classes, keyed by canonical code."""
-    if k < 1:
-        raise ValueError("pattern size must be at least 1")
-    if k > MAX_HISTOGRAM_PATTERN_NODES:
-        raise UnsupportedSizeError(
-            f"pattern size {k} exceeds limit {MAX_HISTOGRAM_PATTERN_NODES}"
-        )
-    if g.node_count > MAX_HISTOGRAM_HOST_NODES:
-        raise UnsupportedSizeError(
-            f"host has {g.node_count} nodes, limit is {MAX_HISTOGRAM_HOST_NODES}"
-        )
-    histogram: dict[bytes, int] = {}
-    for subset in combinations(range(g.node_count), k):
-        rows = _induced_rows(g, subset)
-        attrs = tuple(g.attributes[v] for v in subset)
-        code = _canonical_code(rows, attrs)
-        histogram[code] = histogram.get(code, 0) + 1
-    return histogram
 
 
 def _connected_census(g: Graph, k: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:

@@ -11,33 +11,35 @@ is ``leaf(attribute)``, so every value follows the grammar below, equal
 bytes mean equal trees by construction, and no learned components or
 hashes are involved in equality decisions.
 
-The last recursion level is built in its parent.  A context whose radius
-tail has one entry makes, once, what its leaf contexts need: the mark
-classes below, or else for each member u and flag b, the own value
-``M<b>f(u)`` and that value marked as a near (``M1``) and, when the last
-radius is above 1, a far (``M0``) child.  A leaf context names a member
-whose flag is 0 by its index plus n, so one table lookup picks each
-member's variant, and one leaf routine encodes its members with no
-per-context tables and no further recursion.  The same routine encodes
-the whole graph under a radius sequence of length 1.
+Each context carries its members' own values as classes: a value f and
+the mask of the members that have it.  Member v's child context gets each
+class's near members (adjacent to v) as class ``M1 f`` and its far
+members as ``M0 f``, empty ones dropped: one step per class, not one per
+member.  A parent builds its last level once: ``_leaf_level`` turns its
+marked classes (or, under one radius, the graph's) into the keys below,
+or else each member's value and that value marked as a near and, when
+the last radius is above 1, a far child.  A leaf context names a far
+member by its index plus n, so one table lookup picks each member's
+variant, and one leaf routine encodes its members with no further
+recursion.
 
 A radius-1 leaf's children are its neighbours in the leaf context, each
-marked near.  When the leaf members' own values take m <= 4
-distinct byte strings f_1 < ... < f_m (every unattributed graph under at
-most three radii: near or far at two depths), a leaf value is
-``N<f>[``, then ``M1 f_i`` repeated c_i times for each i, then ``]``,
-where c_i is the member's number of neighbours of class i (one popcount
-over a class mask).  The leaf gives it as an integer key instead: with
-b = n.bit_length() and M = 2**b - 1, the rank of f above four b-bit
-fields M - c_1, ..., M - c_4 (c_i = 0 past m).  Heads sort as their f
-do, values are prefix-free, and ``]`` sorts above every mark's ``M``, so
-a value with more copies of a smaller mark sorts first: ascending keys
-are ascending values, and equal keys are equal values.  The parent sorts
-its leaves' keys and joins their bytes from a table per (b, classes)
-that lives for the process, since graphs share most leaf values; the
-tables hold at most ``_LEAF_TABLE_CAP`` entries together and are cleared
-when they reach it.  More values, or a last radius above 1, take one
-lookup per child and a sort.
+marked near.  When the leaf members' values form m <= 4 classes
+f_1 < ... < f_m (every unattributed graph under at most three radii:
+near or far at two depths), a leaf value is ``N<f>[``, then ``M1 f_i``
+repeated c_i times for each i, then ``]``, where c_i is the member's
+number of neighbours of class i (one popcount over a class mask).  The
+leaf gives it as an integer key instead: with b = n.bit_length() and
+M = 2**b - 1, the rank of f above four b-bit fields M - c_1, ...,
+M - c_4 (c_i = 0 past m).  Heads sort as their f do, values are
+prefix-free, and ``]`` sorts above every mark's ``M``, so a value with
+more copies of a smaller mark sorts first: ascending keys are ascending
+values, and equal keys are equal values.  The parent sorts its leaves'
+keys and joins their bytes from a table per (b, classes) that lives for
+the process, since graphs share most leaf values; the tables hold at
+most ``_LEAF_TABLE_CAP`` entries together and are cleared when they
+reach it.  More classes, or a last radius above 1, take one lookup per
+child and a sort.
 
 Byte grammar (every value is self-delimiting, so concatenations parse
 uniquely and injectivity holds structurally):
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, bfs_layers, bits_of
 
@@ -222,20 +224,9 @@ def _encode_leaves(
     return values
 
 
-def _value_classes(own: dict[int, Encoding]) -> dict[Encoding, int]:
-    """Each distinct value -> the mask of the members that have it."""
-    classes: dict[Encoding, int] = {}
-    for u, f in own.items():
-        classes[f] = classes.get(f, 0) | 1 << u
-    return classes
-
-
-def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys | None:
-    """What radius-1 leaves in an n-node graph build their keys from, when
-    their members' values (``_value_classes``) take at most four byte
-    strings; see the module docstring."""
-    if len(classes) > 4:
-        return None
+def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys:
+    """What radius-1 leaves in an n-node graph build their keys from, given
+    their members' at most four values as classes; see the module docstring."""
     width = n.bit_length()
     order = tuple(sorted(classes))
     masks = [classes[f] for f in order] + [0] * (4 - len(order))
@@ -251,18 +242,27 @@ def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys | None:
     return base, *masks, width, 2 * width, 3 * width, table
 
 
-def _leaf_marks(own: dict[int, Encoding], r: int) -> _LeafMarks:
-    """Leaf marks without keys: the members' own values and the near and,
-    for r > 1, far child marks."""
-    return own, {u: b"M1" + f for u, f in own.items()}, (
+def _leaf_level(
+    classes: dict[Encoding, int], r: int, n: int, bits: _BitTable
+) -> tuple[_LeafMarks, Callable[[int], Encoding] | None]:
+    """What last-level contexts of radius r encode their members from, given
+    the members' values as classes: the key parts from ``_leaf_keys`` when
+    r == 1 and there are at most four classes, with the lookup from a key
+    to its value; else each member's value and that value marked as a near
+    and, for r > 1, a far child."""
+    if r == 1 and len(classes) <= 4:
+        keyed = _leaf_keys(classes, n)
+        return ({}, {}, {}, keyed), keyed[-1].__getitem__
+    own = {u: f for f, k in classes.items() for u in bits[k]}
+    return (own, {u: b"M1" + f for u, f in own.items()}, (
         {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
-    ), None
+    ), None), None
 
 
 def _encode_context(
     adjacency: tuple[int, ...],
     ctx_mask: int,
-    own: dict[int, Encoding],
+    classes: dict[Encoding, int],
     radii: tuple[int, ...],
     depth: int,
     stats: _Stats,
@@ -270,65 +270,55 @@ def _encode_context(
 ) -> dict[int, Encoding]:
     """Encode each member of the context ``ctx_mask`` under two or more radii.
 
-    ``own`` holds exactly the members' values.  Each child value is
-    built as ``marked(own[u], flag)`` and each result as
-    ``node(own[v], children)``, written out inline.
+    ``classes`` maps each own value f to the mask of the members that have
+    it; each result is ``node(f, children)``, written out inline.
     """
     stats.enter_context(depth, ctx_mask.bit_count())
     r1 = radii[0]
     tail = radii[1:]
     n = len(adjacency) // 2
     # Screened members adjacent to v ("near") carry flag 1, the rest of the
-    # ball ("far") flag 0; member u's flag-0 mark is kept under u + n.  A
-    # radius-1 ball is v's neighbours in the context, so it needs no BFS
-    # and no flag-0 marks.  Every leaf context below takes its marks from
-    # these tables, or its key parts from these classes, and names a far
-    # member u as u + n, so the index picks the flag.
-    keyed = None
-    if tail == (1,):
-        classes = _value_classes(own)
-        leaf_classes = {b"M1" + f: k for f, k in classes.items()}
-        if r1 > 1:
-            leaf_classes.update({b"M0" + f: k << n for f, k in classes.items()})
-        keyed = _leaf_keys(leaf_classes, n)
+    # ball ("far") flag 0.  A radius-1 ball is v's neighbours in the
+    # context, so it needs no BFS and has no far members.
+    flagged = [(b"M1" + f, b"M0" + f, k) for f, k in classes.items()]
     lookup = None
-    if keyed is not None:
-        marks = {}, {}, {}, keyed
-        # The leaves give keys, which sort as their values do.
-        lookup = keyed[-1].__getitem__
-    else:
-        tagged_marks = {u: b"M1" + f for u, f in own.items()}
+    if len(tail) == 1:
+        leaf_classes = {m1: k for m1, _, k in flagged}
         if r1 > 1:
-            tagged_marks.update({u + n: b"M0" + f for u, f in own.items()})
-        if len(tail) == 1:
-            marks = _leaf_marks(tagged_marks, tail[0])
+            leaf_classes.update({m0: k << n for _, m0, k in flagged})
+        marks, lookup = _leaf_level(leaf_classes, tail[0], n, bits)
     out: dict[int, Encoding] = {}
-    for v in bits[ctx_mask]:
-        adj_v = adjacency[v]
-        if r1 == 1:
-            near = adj_v & ctx_mask
-            far = 0
-        else:
-            ball = sum(bfs_layers(adjacency, ctx_mask, v, r1))
-            near = ball & adj_v
-            far = ball ^ near ^ (1 << v)
-        if len(tail) == 1:
-            children = _encode_leaves(
-                adjacency, near | far << n, tail[0], marks, depth + 1, stats, bits
-            )
-        else:
-            tagged = {u: tagged_marks[u] for u in bits[near]}
-            if far:
-                tagged.update({u: tagged_marks[u + n] for u in bits[far]})
-            children = list(
-                _encode_context(
-                    adjacency, near | far, tagged, tail, depth + 1, stats, bits
-                ).values()
-            )
-        children.sort()
-        if lookup is not None:
-            children = map(lookup, children)
-        out[v] = b"N" + own[v] + b"[" + b"".join(children) + b"]"
+    for f, k in classes.items():
+        head = b"N" + f + b"["
+        for v in bits[k]:
+            adj_v = adjacency[v]
+            if r1 == 1:
+                near = adj_v & ctx_mask
+                far = 0
+            else:
+                ball = sum(bfs_layers(adjacency, ctx_mask, v, r1))
+                near = ball & adj_v
+                far = ball ^ near ^ (1 << v)
+            if len(tail) == 1:
+                children = _encode_leaves(
+                    adjacency, near | far << n, tail[0], marks, depth + 1, stats, bits
+                )
+            else:
+                child_classes: dict[Encoding, int] = {}
+                for m1, m0, c in flagged:
+                    if c & near:
+                        child_classes[m1] = c & near
+                    if c & far:
+                        child_classes[m0] = c & far
+                children = list(
+                    _encode_context(
+                        adjacency, near | far, child_classes, tail, depth + 1, stats, bits
+                    ).values()
+                )
+            children.sort()
+            if lookup is not None:
+                children = map(lookup, children)
+            out[v] = head + b"".join(children) + b"]"
     return out
 
 
@@ -341,7 +331,10 @@ def rnp_encode_nodes(
     """
     radii = _check_radii(radii)
     n = g.node_count
-    own = {v: leaf(g.attributes[v]) for v in range(n)}
+    classes: dict[Encoding, int] = {}
+    for v, a in enumerate(g.attributes):
+        f = leaf(a)
+        classes[f] = classes.get(f, 0) | 1 << v
     stats = _Stats(len(radii))
     # Rows u and u + n both hold u's neighbours under both names, so a
     # last-level context may name any member u as u + n.
@@ -349,14 +342,15 @@ def rnp_encode_nodes(
     full = (1 << n) - 1
     bits = _BitTable()
     if len(radii) == 1:
-        keyed = _leaf_keys(_value_classes(own), n) if radii == (1,) else None
-        marks = _leaf_marks(own, radii[0]) if keyed is None else ({}, {}, {}, keyed)
+        marks, lookup = _leaf_level(classes, radii[0], n, bits)
         values = _encode_leaves(adjacency, full, radii[0], marks, 0, stats, bits)
-        if keyed is not None:
-            values = map(keyed[-1].__getitem__, values)
+        if lookup is not None:
+            values = map(lookup, values)
         encodings = dict(zip(range(n), values))
     else:
-        encodings = _encode_context(adjacency, full, own, radii, 0, stats, bits)
+        encodings = dict(sorted(
+            _encode_context(adjacency, full, classes, radii, 0, stats, bits).items()
+        ))
     counter = UpdateCounter(
         sum(stats.level_invocations),
         tuple(stats.level_max),

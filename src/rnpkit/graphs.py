@@ -5,9 +5,8 @@ neighbourhood expansion, induced subgraphs and isomorphism backtracking
 fast at the desk scale this package targets.  Graphs of any size are
 accepted, and `gen`, `encode`, `wl` and pattern-free experiments run on
 hosts wider than 64 nodes; only subgraph counting caps its hosts, at
-``counting.MAX_HOST_NODES`` = 64 nodes, and canonical codes their graphs,
-at 8.  Graph values are immutable and hashable; every function in this
-module is pure.
+``counting.MAX_HOST_NODES`` = 64 nodes.  Graph values are immutable and
+hashable; every function in this module is pure.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 INFINITY = math.inf
-
-CANONICAL_MAX_NODES = 8
 
 
 class ParseError(ValueError):
@@ -280,63 +277,12 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
                             True, first=True))
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_code(adj: tuple[int, ...], attrs: tuple[int, ...]) -> bytes:
-    n = len(adj)
-    # Canonical form: among all placements whose attribute sequence is the
-    # sorted one, the lexicographically smallest sequence of "new node's
-    # adjacency to already-placed nodes" columns.  Equal codes iff isomorphic.
-    sorted_attrs = tuple(sorted(attrs))
-    best: list[int] | None = None
-    cols: list[int] = []
-    placed: list[int] = []
-    used = [False] * n
-
-    def dfs() -> None:
-        nonlocal best
-        p = len(placed)
-        if p == n:
-            if best is None or cols < best:
-                best = cols.copy()
-            return
-        target = sorted_attrs[p]
-        options = []
-        for u in range(n):
-            if used[u] or attrs[u] != target:
-                continue
-            col = 0
-            for x in placed:
-                col = (col << 1) | ((adj[u] >> x) & 1)
-            options.append((col, u))
-        options.sort()
-        for col, u in options:
-            if best is not None and cols + [col] > best[: p + 1]:
-                break
-            used[u] = True
-            placed.append(u)
-            cols.append(col)
-            dfs()
-            cols.pop()
-            placed.pop()
-            used[u] = False
-
-    dfs()
-    assert best is not None or n == 0
-    bit_part = "".join(
-        format(col, f"0{i}b") for i, col in enumerate(best or []) if i
-    )
-    attr_part = ",".join(str(a) for a in sorted_attrs)
-    return f"{n}|{attr_part}|{bit_part}".encode("ascii")
-
-
-def canonical_code(g: Graph) -> bytes:
-    """Deterministic byte string equal for two graphs iff they are isomorphic."""
-    if g.node_count > CANONICAL_MAX_NODES:
-        raise UnsupportedSizeError(
-            f"canonical_code supports at most {CANONICAL_MAX_NODES} nodes,"
-            f" got {g.node_count}"
-        )
-    return _canonical_code(g.adjacency, g.attributes)
+def _integer(token: str) -> int:
+    """``token`` as an integer: an optional ``-``, then ASCII digits only."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def parse_graph(text: str) -> Graph:
@@ -363,7 +309,7 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise ParseError(lineno, "header must be '<node count> <edge count>'")
             try:
-                node_count, edge_target = int(tokens[0]), int(tokens[1])
+                node_count, edge_target = _integer(tokens[0]), _integer(tokens[1])
             except ValueError:
                 raise ParseError(lineno, "header values must be integers") from None
             if node_count < 0 or edge_target < 0:
@@ -376,7 +322,7 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise ParseError(lineno, "edge line must be '<u> <v>'")
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                u, v = _integer(tokens[0]), _integer(tokens[1])
             except ValueError:
                 raise ParseError(lineno, "edge endpoints must be integers") from None
             if u == v:
@@ -394,7 +340,7 @@ def parse_graph(text: str) -> Graph:
         if tokens[0] != "attr" or len(tokens) != 3:
             raise ParseError(lineno, "expected 'attr <node> <value>'")
         try:
-            u, x = int(tokens[1]), int(tokens[2])
+            u, x = _integer(tokens[1]), _integer(tokens[2])
         except ValueError:
             raise ParseError(lineno, "attribute line values must be integers") from None
         if not 0 <= u < node_count:

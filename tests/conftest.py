@@ -1,17 +1,19 @@
-"""Shared test helpers: deterministic random graphs and exhaustive corpora."""
+"""Shared test helpers: deterministic random graphs, exhaustive corpora and oracles."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
 import rnpkit
-from rnpkit import INFINITY, Graph, SplitMix64, erdos_renyi
+from rnpkit import INFINITY, Graph, SplitMix64, UnsupportedSizeError, erdos_renyi
+from rnpkit.counting import MAX_HISTOGRAM_PATTERN_NODES
 from rnpkit.generators import _PAIRING_MAX_ATTEMPTS
-from rnpkit.graphs import bfs_layers, bits_of
+from rnpkit.graphs import _induced_rows, bfs_layers, bits_of
 
 _SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
 
@@ -247,3 +249,89 @@ def reference_pairing_edges(n: int, d: int, pairing: SplitMix64) -> list[tuple[i
         f"pairing model failed to produce a simple {d}-regular graph on "
         f"{n} nodes after {_PAIRING_MAX_ATTEMPTS} attempts"
     )
+
+
+CANONICAL_MAX_NODES = 8
+MAX_HISTOGRAM_HOST_NODES = 40
+
+
+@lru_cache(maxsize=1 << 16)
+def _canonical_code(adj: tuple[int, ...], attrs: tuple[int, ...]) -> bytes:
+    n = len(adj)
+    # Canonical form: among all placements whose attribute sequence is the
+    # sorted one, the lexicographically smallest sequence of "new node's
+    # adjacency to already-placed nodes" columns.  Equal codes iff isomorphic.
+    sorted_attrs = tuple(sorted(attrs))
+    best: list[int] | None = None
+    cols: list[int] = []
+    placed: list[int] = []
+    used = [False] * n
+
+    def dfs() -> None:
+        nonlocal best
+        p = len(placed)
+        if p == n:
+            if best is None or cols < best:
+                best = cols.copy()
+            return
+        target = sorted_attrs[p]
+        options = []
+        for u in range(n):
+            if used[u] or attrs[u] != target:
+                continue
+            col = 0
+            for x in placed:
+                col = (col << 1) | ((adj[u] >> x) & 1)
+            options.append((col, u))
+        options.sort()
+        for col, u in options:
+            if best is not None and cols + [col] > best[: p + 1]:
+                break
+            used[u] = True
+            placed.append(u)
+            cols.append(col)
+            dfs()
+            cols.pop()
+            placed.pop()
+            used[u] = False
+
+    dfs()
+    assert best is not None or n == 0
+    bit_part = "".join(
+        format(col, f"0{i}b") for i, col in enumerate(best or []) if i
+    )
+    attr_part = ",".join(str(a) for a in sorted_attrs)
+    return f"{n}|{attr_part}|{bit_part}".encode("ascii")
+
+
+def canonical_code(g: Graph) -> bytes:
+    """Isomorphism oracle: a byte string equal for two graphs iff they are
+    isomorphic.  Its placement search shares no code with the matcher
+    ``graphs._embeddings``."""
+    if g.node_count > CANONICAL_MAX_NODES:
+        raise UnsupportedSizeError(
+            f"canonical_code supports at most {CANONICAL_MAX_NODES} nodes,"
+            f" got {g.node_count}"
+        )
+    return _canonical_code(g.adjacency, g.attributes)
+
+
+def count_all_patterns(g: Graph, k: int) -> dict[bytes, int]:
+    """Histogram of all k-node induced subgraph classes, keyed by canonical code."""
+    if k < 1:
+        raise ValueError("pattern size must be at least 1")
+    if k > MAX_HISTOGRAM_PATTERN_NODES:
+        raise UnsupportedSizeError(
+            f"pattern size {k} exceeds limit {MAX_HISTOGRAM_PATTERN_NODES}"
+        )
+    if g.node_count > MAX_HISTOGRAM_HOST_NODES:
+        raise UnsupportedSizeError(
+            f"host has {g.node_count} nodes, limit is {MAX_HISTOGRAM_HOST_NODES}"
+        )
+    histogram: dict[bytes, int] = {}
+    for subset in combinations(range(g.node_count), k):
+        rows = _induced_rows(g, subset)
+        attrs = tuple(g.attributes[v] for v in subset)
+        code = _canonical_code(rows, attrs)
+        histogram[code] = histogram.get(code, 0) + 1
+    return histogram

@@ -16,7 +16,6 @@ from rnpkit import (
     SplitMix64,
     admits,
     complete,
-    count_all_patterns,
     count_induced,
     count_noninduced,
     cycle,
@@ -39,7 +38,7 @@ from rnpkit import (
     wl_distinguish,
 )
 
-from conftest import cli_env
+from conftest import cli_env, count_all_patterns
 
 
 def _report(capsys, label: str, ok: bool, started: float, limit: float, detail: str = ""):

@@ -13,7 +13,6 @@ from rnpkit import (
     Graph,
     SplitMix64,
     are_isomorphic,
-    canonical_code,
     complete,
     count_induced,
     count_noninduced,
@@ -36,7 +35,13 @@ from rnpkit import (
 from rnpkit import cli, generators
 from rnpkit.cli import main
 
-from conftest import cli_env, disjoint_union, graph_strategy, reference_wl_histogram
+from conftest import (
+    canonical_code,
+    cli_env,
+    disjoint_union,
+    graph_strategy,
+    reference_wl_histogram,
+)
 
 
 def run(argv):
@@ -298,6 +303,16 @@ class TestComplexityAndEncode:
         assert run(["complexity", g, "--radii", "2,1"]) == (
             0, '{"schema": "rnp-kit/1", "updates": 0, "bound": 0, "ratio": 0.0}\n'
         )
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1_0 0\n", 1), ("+3 1\n0 1\n", 1), ("3 1\n0 +2\n", 2), ("2 0\nattr 0 1_2\n", 2)],
+    )
+    def test_noncanonical_integers_in_graph_file(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(["encode", str(bad), "--radii", "1"]) == (2, "")
+        assert f"line {line}: " in capsys.readouterr().err
 
     def test_encode_payload(self, tmp_path):
         g = write_graph(tmp_path, "c6.txt", cycle(6))

@@ -13,9 +13,7 @@ from rnpkit import (
     UnsupportedSizeError,
     are_isomorphic,
     automorphism_count,
-    canonical_code,
     complete,
-    count_all_patterns,
     count_induced,
     count_noninduced,
     cycle,
@@ -31,6 +29,8 @@ from rnpkit.counting import _connected_census, _key_rows
 
 from conftest import (
     all_graphs,
+    canonical_code,
+    count_all_patterns,
     graph_strategy,
     induced_subgraph,
     reference_embeddings,

@@ -11,7 +11,6 @@ from rnpkit import (
     SplitMix64,
     UpdateCounter,
     complete,
-    count_all_patterns,
     cycle,
     distinguish,
     encoding_digest,
@@ -31,10 +30,11 @@ from rnpkit import (
 )
 
 from rnpkit import encoder
-from rnpkit.encoder import _leaf_keys, _leaf_tables, _value_classes
+from rnpkit.encoder import _BitTable, _leaf_keys, _leaf_level, _leaf_tables
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
+    count_all_patterns,
     graph_strategy,
     seeded_graph,
     seeded_permutation,
@@ -108,6 +108,18 @@ class TestNodeEncodings:
         encodings, counter = rnp_encode_nodes(complete(4), (0,))
         assert set(encodings.values()) == {node(leaf(0), [])}
         assert counter.invocations == 4
+
+    def test_nodes_come_in_ascending_order(self):
+        # The recursion walks value classes, not nodes; the result still
+        # lists nodes by index, under radii of length 1, 2 and 3.
+        rng = SplitMix64(1717)
+        for values in range(2, 14):
+            for radii in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1), (1, 2, 2)]:
+                n = 4 + rng.below(12)
+                base = erdos_renyi(n, 0.2 + 0.4 * rng.random(), rng.next_u64())
+                g = Graph(n, base.adjacency, tuple(rng.below(values) for _ in range(n)))
+                encodings, _ = rnp_encode_nodes(g, radii)
+                assert list(encodings) == list(range(n))
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
@@ -321,10 +333,11 @@ class TestAgainstReference:
     def test_leaf_keys_need_radius_one_and_four_values(self, monkeypatch):
         # Classes are ranked by bytes (L10; before L1;) and their masks
         # padded to four; a fifth value or a leaf radius above 1 keeps the
-        # per-child path.
+        # per-child path, whose table gives each member its class's value.
         own = {0: b"L1;", 1: b"L10;", 2: b"L1;", 5: b"L0;"}
-        assert _value_classes(own) == {b"L1;": 0b101, b"L10;": 0b10, b"L0;": 1 << 5}
-        base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(_value_classes(own), 6)
+        classes = {b"L1;": 0b101, b"L10;": 0b10, b"L0;": 1 << 5}
+        assert _leaf_level(classes, 2, 6, _BitTable())[0][0] == own
+        base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(classes, 6)
         assert (k1, k2, k3, k4) == (1 << 5, 0b10, 0b101, 0)
         assert (s1, s2, s3) == (3, 6, 9)
         assert base == {0: (3 << 12) - 1, 1: (2 << 12) - 1, 2: (3 << 12) - 1,
@@ -334,8 +347,9 @@ class TestAgainstReference:
         assert table[base[0] - (1 << s3 | 2 << s1)] == node(
             own[0], [marked(b"L1;", 1), marked(b"L0;", 1), marked(b"L1;", 1)]
         )
-        assert _leaf_keys(_value_classes({u: b"L%d;" % u for u in range(4)}), 4)
-        assert _leaf_keys(_value_classes({u: b"L%d;" % u for u in range(5)}), 5) is None
+        four, five = ({b"L%d;" % u: 1 << u for u in range(m)} for m in (4, 5))
+        assert _leaf_level(four, 1, 4, _BitTable())[1]
+        assert _leaf_level(five, 1, 5, _BitTable())[1] is None
         monkeypatch.setattr(encoder, "_leaf_keys", None)
         g = erdos_renyi(9, 0.4, 3)
         feats = {v: leaf(0) for v in range(9)}
@@ -360,7 +374,7 @@ class TestAgainstReference:
         classes = sorted(reduce(marked, flags, leaf(a)) for flags, a in drawn_classes)
         m = len(classes)
         base, _, _, _, _, s1, s2, s3, table = _leaf_keys(
-            _value_classes(dict(enumerate(classes))), n
+            {f: 1 << w for w, f in enumerate(classes)}, n
         )
         top = (1 << n.bit_length()) - 1
         keys, values = [], []

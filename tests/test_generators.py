@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rnpkit import (
     UnsupportedSizeError,
     are_isomorphic,
-    canonical_code,
     complete,
     count_induced,
     cycle,
@@ -28,7 +27,7 @@ from rnpkit import generators
 from rnpkit.generators import _pairing_model_edges
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
-from conftest import primes_below, reference_pairing_edges
+from conftest import canonical_code, primes_below, reference_pairing_edges
 
 
 class TestErdosRenyi:

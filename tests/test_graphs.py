@@ -10,7 +10,6 @@ from rnpkit import (
     ParseError,
     UnsupportedSizeError,
     are_isomorphic,
-    canonical_code,
     complete,
     cycle,
     is_connected,
@@ -25,6 +24,7 @@ from rnpkit.graphs import bfs_layers, bits_of
 from conftest import (
     all_graphs,
     all_pairs_shortest_paths,
+    canonical_code,
     disjoint_union,
     graph_strategy,
     induced_subgraph,
@@ -375,6 +375,15 @@ class TestTextFormat:
             ("3 1\n0 b\n", 2, "edge endpoints must be integers"),
             ("2 0\nattr 0 x\n", 2, "attribute line values must be integers"),
             ("2 0\nattr 1.5 1\n", 2, "attribute line values must be integers"),
+            # int() also takes underscores, a leading + and non-ASCII digits
+            ("1_0 0\n", 1, "header values must be integers"),
+            ("+3 1\n0 1\n", 1, "header values must be integers"),
+            ("- 0\n", 1, "header values must be integers"),
+            ("3 1\n0 +2\n", 2, "edge endpoints must be integers"),
+            ("3 1\n--0 2\n", 2, "edge endpoints must be integers"),
+            ("2 0\nattr 0 1_2\n", 2, "attribute line values must be integers"),
+            ("2 0\nattr \u0661 1\n", 2, "attribute line values must be integers"),
+            ("3 1\n0 \uff12\n", 2, "edge endpoints must be integers"),
             ("2 1\n0 1\n\nattr 1 -3\n", 4, "attribute for node 1 must be nonnegative"),
         ],
     )
