@@ -43,7 +43,7 @@ from .graphs import (
     ParseError,
     UnsupportedSizeError,
     _embeddings,
-    bfs_layers,
+    layer_sizes,
     parse_graph,
     serialize_graph,
 )
@@ -321,11 +321,7 @@ def _node_invariants(g: Graph) -> tuple[tuple, ...]:
     """Each node's (attribute, BFS layer sizes): its distance histogram, which
     splits most regular graphs where 1-WL is blind.  A key has one entry per
     node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
-    full = (1 << g.node_count) - 1
-    return tuple(
-        (attribute, tuple(map(int.bit_count, bfs_layers(g.adjacency, full, v))))
-        for v, attribute in enumerate(g.attributes)
-    )
+    return tuple(zip(g.attributes, layer_sizes(g.adjacency)))
 
 
 def _cmd_experiment(args, out) -> int:
@@ -367,14 +363,18 @@ def _cmd_experiment(args, out) -> int:
     # isomorphism invariant, so a graph isomorphic to a representative
     # reuses its class's columns.  The key only picks the bucket; a hit
     # needs an exact isomorphism test that pairs nodes of equal invariants.
-    classes: dict[tuple, list[tuple[tuple[int, ...], tuple, tuple]]] = {}
+    # Each distinct invariant is interned as a small int, numbered in order
+    # of first appearance, so keys and matcher colours are int tuples.
+    invariant_ids: dict[tuple, int] = {}
+    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple, tuple]]] = {}
     # A hit shares an earlier trial's 1-WL certificate, and every earlier
     # trial shares one with a miss, so only misses run 1-WL and record it.
     certificates: set[tuple[int, ...]] = set()
     radii_text = ",".join(str(r) for r in radii)
     for trial in range(spec["trials"]):
         seed, graph, label = first if trial == 0 else _draw_trial(spec, trial)
-        invariants = _node_invariants(graph)
+        invariants = tuple(invariant_ids.setdefault(x, len(invariant_ids))
+                           for x in _node_invariants(graph))
         bucket = classes.setdefault(tuple(sorted(invariants)), [])
         columns = next((c for adj, inv, c in bucket if _embeddings(
             adj, inv, graph.adjacency, invariants, True, first=True)), None)

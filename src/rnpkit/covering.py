@@ -20,6 +20,7 @@ from .graphs import (
     bits_of,
     component_mask,
     is_connected,
+    layer_sizes,
 )
 
 ADMITS_MAX_NODES = 16
@@ -175,7 +176,7 @@ def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]
         return component_mask(adjacency, rest, (u + 1) % n) == rest
 
     steps = [min(
-        (len(bfs_layers(adjacency, full, v)) - 1, v) for v in range(n) if non_cut(v)
+        (len(sizes) - 1, v) for v, sizes in enumerate(layer_sizes(adjacency)) if non_cut(v)
     )]
     first = steps[0][1]
     tree = [0] * n

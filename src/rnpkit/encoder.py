@@ -56,7 +56,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, bfs_layers, bits_of
+from .graphs import Graph, bfs_layers, bits_of, layer_sizes
 
 Encoding = bytes
 
@@ -373,10 +373,5 @@ def distinguish(g1: Graph, g2: Graph, radii: Sequence[int]) -> bool:
 def update_bound(g: Graph, radii: Sequence[int]) -> int:
     """Worst-case node updates n * c**tau, with c the largest first-radius ball."""
     radii = _check_radii(radii)
-    n = g.node_count
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
-    r = radii[0]
-    c = max(sum(bfs_layers(g.adjacency, full, v, r)).bit_count() for v in range(n))
-    return n * c ** len(radii)
+    c = max(map(sum, layer_sizes(g.adjacency, radii[0])), default=0)
+    return g.node_count * c ** len(radii)

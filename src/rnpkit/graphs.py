@@ -187,6 +187,51 @@ def bfs_layers(
     return layers
 
 
+def layer_sizes(
+    adjacency: Sequence[int], radius: int | None = None
+) -> list[tuple[int, ...]]:
+    """Every node's BFS layer sizes: entry v counts the nodes at distance
+    0, 1, 2, ... from v, as ``bfs_layers`` over the whole graph gives them.
+
+    With ``radius``, only the layers at distance at most ``radius``.  All
+    balls grow together, one round per radius: ball_{k+1}(v) is ball_k(v)
+    joined with ball_k(u) of every neighbour u, so a sweep costs about
+    sum_v deg(v) * ecc(v) mask ORs instead of one BFS per node.  A ball
+    that stops growing is its node's component and stays as it is.
+    """
+    n = len(adjacency)
+    if radius == 0:
+        return [(1,)] * n
+    # Round 1 takes no ORs: ball_1(v) is v and its neighbours.
+    neighbours, balls, counts, sizes, growing = [], [], [], [], []
+    for v, row in enumerate(adjacency):
+        near = bits_of(row)
+        neighbours.append(near)
+        balls.append(row | 1 << v)
+        counts.append(len(near) + 1)  # ball sizes
+        sizes.append((1, len(near)) if near else (1,))
+        if 0 < len(near) < n - 1:  # the balls that can grow
+            growing.append(v)
+    rounds = n if radius is None else radius - 1  # an eccentricity is below n
+    while growing and rounds:
+        rounds -= 1
+        grown = balls.copy()  # ball_{k+1}, read from ball_k alone
+        still = []
+        for v in growing:
+            ball = balls[v]
+            for u in neighbours[v]:
+                ball |= balls[u]
+            count = ball.bit_count()
+            if count != counts[v]:
+                grown[v] = ball
+                sizes[v] += (count - counts[v],)
+                counts[v] = count
+                if count < n:  # a ball of all n nodes cannot grow
+                    still.append(v)
+        balls, growing = grown, still
+    return sizes
+
+
 def is_connected(g: Graph) -> bool:
     if g.node_count <= 1:
         return True

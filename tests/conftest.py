@@ -73,6 +73,14 @@ def neighborhood(g: Graph, v: int, radius: int) -> frozenset[int]:
     return frozenset(bits_of(sum(bfs_layers(g.adjacency, full, v, radius))))
 
 
+def reference_layer_sizes(adjacency, radius=None) -> list[tuple[int, ...]]:
+    """Layer-size oracle: one ``bfs_layers`` run per node over the whole
+    graph, the per-node sweep that ``graphs.layer_sizes`` replaces."""
+    full = (1 << len(adjacency)) - 1
+    return [tuple(map(int.bit_count, bfs_layers(adjacency, full, v, radius)))
+            for v in range(len(adjacency))]
+
+
 def induced_subgraph(g: Graph, members) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on ``members``, plus the old-index -> new-index map.
 

@@ -639,6 +639,28 @@ class TestExperiment:
             classes = {tuple(sorted(component_sizes(g))) for g in graphs}
             assert len(encoded) == len(classes)
 
+    def test_stream_regular_buckets_hold(self, tmp_path, monkeypatch):
+        # The benchmark's (10, 3, 1) stream: 3-regular graphs with one edge
+        # deleted, most of them repeats.  Which earlier classes share a
+        # trial's bucket decides how many exact tests fail, so the memo key
+        # is pinned by the passing tests (hits), the failing ones and the
+        # misses that get encoded.
+        generator = {"kind": "regular", "n": 10, "d": 3, "delete": 1}
+        spec = experiment_spec(tmp_path, generator=generator, trials=300,
+                               base_seed=5_000_000, mode="noninduced")
+        results = []
+        exact_test = cli._embeddings
+
+        def recorded(*args, **kwargs):
+            results.append(bool(exact_test(*args, **kwargs)))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_embeddings", recorded)
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        code, _ = run(["experiment", spec])
+        assert code == 0
+        assert (results.count(True), results.count(False), len(encoded)) == (221, 74, 79)
+
     @pytest.mark.parametrize("mode", ["induced", "noninduced"])
     def test_counts_match_oracles_for_mixed_patterns(self, tmp_path, mode):
         patterns = [

@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +13,18 @@ from rnpkit import (
     are_isomorphic,
     complete,
     cycle,
+    enumerate_connected_graphs,
     is_connected,
+    min_r1_covering_sequence,
     parse_graph,
     path,
     permuted,
     serialize_graph,
     two_triangles,
+    update_bound,
 )
-from rnpkit.graphs import bfs_layers, bits_of
+from rnpkit import covering, encoder
+from rnpkit.graphs import bfs_layers, bits_of, layer_sizes
 
 from conftest import (
     all_graphs,
@@ -29,6 +34,7 @@ from conftest import (
     graph_strategy,
     induced_subgraph,
     neighborhood,
+    reference_layer_sizes,
     seeded_graph,
     seeded_permutation,
     wide_sparse_graph_strategy,
@@ -141,6 +147,58 @@ class TestBfsLayers:
         within = (within | 1 << v) & ((1 << g.node_count) - 1)
         full_bfs = bfs_layers(g.adjacency, within, v)
         assert bfs_layers(g.adjacency, within, v, radius) == full_bfs[: radius + 1]
+
+
+def _sweeps(g):
+    # Every update_bound and, when it applies, the min-r1 sequence of g.
+    bounds = [update_bound(g, radii) for radii in ((0,), (1,), (2, 1), (3, 2, 1), (9,))]
+    cover = min_r1_covering_sequence(g) if g.node_count > 1 and is_connected(g) else None
+    return bounds, cover
+
+
+def _matches_the_bfs_sweeps(g):
+    """The sweeps equal their versions with the all-sources kernel
+    replaced by the per-node BFS oracle."""
+    kernel = _sweeps(g)
+    with mock.patch.object(encoder, "layer_sizes", reference_layer_sizes), \
+            mock.patch.object(covering, "layer_sizes", reference_layer_sizes):
+        return kernel == _sweeps(g)
+
+
+class TestLayerSizes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(graph_strategy(max_nodes=10, attributed=True),
+                  wide_sparse_graph_strategy()),
+        st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    @example(Graph(0, (), ()), None)
+    @example(Graph.from_edges(4, [], (0, 1, 0, 2)), 1)
+    @example(disjoint_union(cycle(6), complete(1)), None)
+    @example(two_triangles(), 2)
+    @example(path(9), 3)
+    def test_matches_one_bfs_per_node(self, g, radius):
+        # Isolated nodes, several components and attributes come from both
+        # strategies; the wide hosts take the masks over 64 bits.
+        assert layer_sizes(g.adjacency, radius) == reference_layer_sizes(g.adjacency, radius)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graph_strategy(max_nodes=10, attributed=True),
+                     wide_sparse_graph_strategy()))
+    def test_sweeps_match_their_bfs_versions(self, g):
+        assert _matches_the_bfs_sweeps(g)
+
+    def test_sweeps_match_on_every_small_connected_graph(self):
+        # Every connected class with 1-6 nodes, as enumerated and under
+        # three seeded relabellings.
+        count = 0
+        for k in range(1, 7):
+            for i, g in enumerate(enumerate_connected_graphs(k)):
+                for j in range(4):
+                    perm = seeded_permutation(k, 100 * k + 10 * i + j) if j else range(k)
+                    assert _matches_the_bfs_sweeps(permuted(g, perm))
+                    count += 1
+        assert count == 4 * (1 + 1 + 2 + 6 + 21 + 112)
 
 
 class TestShortestPaths:
