@@ -19,7 +19,6 @@ from .covering import (
     family_covering_sequence,
     is_vertex_covering_sequence,
     min_r1_covering_sequence,
-    minimum_spanning_tree,
 )
 from .encoder import (
     Encoding,
@@ -91,7 +90,6 @@ __all__ = [
     "leaf",
     "marked",
     "min_r1_covering_sequence",
-    "minimum_spanning_tree",
     "node",
     "parse_graph",
     "path",

@@ -55,6 +55,9 @@ EXIT_INTERNAL_ERROR = 1
 EXIT_USER_ERROR = 2
 EXIT_BROKEN_PIPE = 141
 
+# SplitMix64 reads a seed mod 2**64, so a larger seed would alias a smaller one.
+SEED_LIMIT = 1 << 64
+
 
 class UserError(Exception):
     """Bad input from the user; reported on stderr with exit code 2."""
@@ -116,6 +119,8 @@ def _cmd_gen(args, out) -> int:
     for name in ("n", "d", "delete", "size", "seed"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _parse_counts(getattr(args, name), "--" + name, True)[0])
+    if getattr(args, "seed", None) is not None and args.seed >= SEED_LIMIT:
+        raise UserError(f"bad --seed '{args.seed}': expected an integer below 2**64")
     try:
         if args.family == "er":
             graphs = [erdos_renyi(args.n, _parse_probability(args.p), args.seed)]
@@ -168,16 +173,28 @@ def _cmd_count(args, out) -> int:
     return 0
 
 
+def _printable_bound(graph: Graph, radii: Sequence[int], where: str = "") -> int:
+    """``update_bound``, or a user error prefixed by ``where`` when the bound
+    has more digits than Python converts to text."""
+    bound = update_bound(graph, radii)
+    try:
+        str(bound)
+    except ValueError:
+        raise UserError(f"{where}the n * c**tau update bound is too large to print") from None
+    return bound
+
+
 def _cmd_encode(args, out) -> int:
     graph = _load_graph(args.graph)
     radii = _parse_counts(args.radii, "radii")
+    bound = _printable_bound(graph, radii)
     encodings, counter = rnp_encode_nodes(graph, radii)
     _emit_json(
         {
             "schema": SCHEMA,
             "digest": encoding_digest(graph_readout(encodings.values())),
             "updates": counter.invocations,
-            "bound": update_bound(graph, radii),
+            "bound": bound,
         },
         out,
     )
@@ -203,8 +220,8 @@ def _cmd_distinguish(args, out) -> int:
 def _cmd_complexity(args, out) -> int:
     graph = _load_graph(args.graph)
     radii = _parse_counts(args.radii, "radii")
+    bound = _printable_bound(graph, radii)
     _, counter = rnp_encode_nodes(graph, radii)
-    bound = update_bound(graph, radii)
     ratio = counter.invocations / bound if bound else 0.0
     _emit_json(
         {
@@ -253,6 +270,8 @@ def _load_experiment_spec(path: str) -> dict:
     for key in ("trials", "base_seed"):
         if not _is_count(spec[key]):
             raise UserError(f"{path}: {key} must be a nonnegative integer")
+    if spec["base_seed"] + max(spec["trials"], 1) - 1 >= SEED_LIMIT:
+        raise UserError(f"{path}: base_seed + trials - 1 must be below 2**64")
     if not _is_string_list(spec["patterns"]):
         raise UserError(f"{path}: patterns must be a list of file names")
     gen = spec["generator"]
@@ -391,7 +410,7 @@ def _cmd_experiment(args, out) -> int:
                 encoding,
                 encoding_digest(encoding)[:16],
                 counter.invocations,
-                update_bound(graph, radii),
+                _printable_bound(graph, radii, f"trial {trial} (seed {seed}): "),
             )
             bucket.append((graph.adjacency, invariants, columns))
         counts, encoding, digest, updates, bound = columns

@@ -10,7 +10,7 @@ pooling encoder.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     INFINITY,
@@ -123,45 +123,15 @@ def default_covering_sequence(k: int) -> tuple[int, ...]:
     return tuple(range(k - 1, 0, -1))
 
 
-def minimum_spanning_tree(
-    h: Graph, weight: Callable[[int, int], int]
-) -> tuple[tuple[int, int], ...]:
-    """Kruskal MST with deterministic ties: edges sorted by (weight, u, v)."""
-    n = h.node_count
-    edges = sorted(h.edges(), key=lambda e: (weight(e[0], e[1]), e[0], e[1]))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v))
-            if len(tree) == n - 1:
-                break
-    if len(tree) != max(0, n - 1):
-        raise ValueError("graph is not connected")
-    return tuple(tree)
-
-
 def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Covering sequence with the smallest feasible first radius.
 
     The first node must leave the rest connected, so it is the non-cut
     node with the least (eccentricity, index), and its radius is its
-    eccentricity.  Non-cut nodes are exactly the nodes some spanning tree
-    keeps as a leaf: a Kruskal run that takes u's edges last, after every
-    other edge in (u, v) order, gives u one tree edge per component of
-    h - u.  That tree minus the first node's edge spans the rest, whose
-    leaves are then peeled least (in-tree eccentricity, index) first.
-    Tree distances upper-bound distances in the induced subgraphs, so the
-    output always validates.
+    eccentricity.  The rest is then connected, and a union-find over its
+    edges in (u, v) order spans it with a tree whose leaves are peeled
+    least (in-tree eccentricity, index) first.  Tree distances upper-bound
+    distances in the induced subgraphs, so the output always validates.
     """
     n = h.node_count
     if n < 2:
@@ -179,9 +149,21 @@ def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]
         (len(sizes) - 1, v) for v, sizes in enumerate(layer_sizes(adjacency)) if non_cut(v)
     )]
     first = steps[0][1]
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
     tree = [0] * n
-    for u, v in minimum_spanning_tree(h, lambda a, b: first in (a, b)):
-        if first not in (u, v):
+    for u, v in h.edges():
+        if first in (u, v):
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
             tree[u] |= 1 << v
             tree[v] |= 1 << u
     mask = full & ~(1 << first)

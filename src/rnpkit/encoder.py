@@ -15,13 +15,14 @@ Each context carries its members' own values as classes: a value f and
 the mask of the members that have it.  Member v's child context gets each
 class's near members (adjacent to v) as class ``M1 f`` and its far
 members as ``M0 f``, empty ones dropped: one step per class, not one per
-member.  A parent builds its last level once: ``_leaf_level`` turns its
-marked classes (or, under one radius, the graph's) into the keys below,
-or else each member's value and that value marked as a near and, when
-the last radius is above 1, a far child.  A leaf context names a far
-member by its index plus n, so one table lookup picks each member's
-variant, and one leaf routine encodes its members with no further
-recursion.
+member.  A parent decides its last level once: ``_leaf_level`` returns
+the routine that encodes each of its leaf contexts, built from its
+marked classes (or, under one radius, the graph's): one that gives the
+keys below, or else one that looks up each member's value and that value
+marked as a near and, when the last radius is above 1, a far child.  A
+leaf context names a far member by its index plus n, so one table lookup
+picks each member's variant, and the routine encodes its members with no
+further recursion.
 
 A radius-1 leaf's children are its neighbours in the leaf context, each
 marked near.  When the leaf members' values form m <= 4 classes
@@ -173,60 +174,13 @@ class _LeafTable(dict):
         return value
 
 
-# Leaf keys from: each member's key with every count 0, the four class masks
-# (0 past m), the field shifts b, 2b and 3b, and the table.
-_LeafKeys = tuple[dict[int, int], int, int, int, int, int, int, int, _LeafTable]
-_LeafMarks = tuple[
-    dict[int, Encoding], dict[int, Encoding], dict[int, Encoding], _LeafKeys | None
-]
-
-
-def _encode_leaves(
-    adjacency: tuple[int, ...],
-    ctx_mask: int,
-    r: int,
-    marks: _LeafMarks,
-    depth: int,
-    stats: _Stats,
-    bits: _BitTable,
-) -> list[Encoding] | list[int]:
-    """Values of the members of a last-level context, in ascending index order.
-
-    ``marks`` holds, by member index, its own value and that value marked
-    as a near (``M1``) and, for r > 1, a far (``M0``) child; or the key
-    parts from ``_leaf_keys``.  Then the values come as keys, which map to
-    the values through the table and sort as the values do.
-    """
-    stats.enter_context(depth, ctx_mask.bit_count())
-    own, near_marks, far_marks, keyed = marks
-    if keyed is not None:
-        base, k1, k2, k3, k4, s1, s2, s3, _ = keyed
-        keys = []
-        for w in bits[ctx_mask]:
-            a = adjacency[w] & ctx_mask
-            keys.append(base[w] - (
-                (a & k1).bit_count() << s3 | (a & k2).bit_count() << s2
-                | (a & k3).bit_count() << s1 | (a & k4).bit_count()
-            ))
-        return keys
-    values = []
-    for w in bits[ctx_mask]:
-        adj_w = adjacency[w]
-        if r == 1:
-            children = [near_marks[u] for u in bits[adj_w & ctx_mask]]
-        else:
-            ball = sum(bfs_layers(adjacency, ctx_mask, w, r))
-            near = ball & adj_w
-            children = [near_marks[u] for u in bits[near]]
-            children += [far_marks[u] for u in bits[ball ^ near ^ (1 << w)]]
-        children.sort()
-        values.append(b"N" + own[w] + b"[" + b"".join(children) + b"]")
-    return values
-
-
-def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys:
+def _leaf_keys(
+    classes: dict[Encoding, int], n: int
+) -> tuple[dict[int, int], int, int, int, int, int, int, int, _LeafTable]:
     """What radius-1 leaves in an n-node graph build their keys from, given
-    their members' at most four values as classes; see the module docstring."""
+    their members' at most four values as classes: each member's key with
+    every count 0, the four class masks (0 past m), the field shifts b, 2b
+    and 3b, and the table; see the module docstring."""
     width = n.bit_length()
     order = tuple(sorted(classes))
     masks = [classes[f] for f in order] + [0] * (4 - len(order))
@@ -243,20 +197,57 @@ def _leaf_keys(classes: dict[Encoding, int], n: int) -> _LeafKeys:
 
 
 def _leaf_level(
-    classes: dict[Encoding, int], r: int, n: int, bits: _BitTable
-) -> tuple[_LeafMarks, Callable[[int], Encoding] | None]:
-    """What last-level contexts of radius r encode their members from, given
-    the members' values as classes: the key parts from ``_leaf_keys`` when
-    r == 1 and there are at most four classes, with the lookup from a key
-    to its value; else each member's value and that value marked as a near
-    and, for r > 1, a far child."""
+    adjacency: tuple[int, ...],
+    classes: dict[Encoding, int],
+    r: int,
+    depth: int,
+    stats: _Stats,
+    bits: _BitTable,
+) -> tuple[Callable[[int], list], Callable[[int], Encoding] | None]:
+    """The routine that encodes a last-level context of radius r, member by
+    member in ascending index order, given the members' values as classes.
+
+    When r == 1 and there are at most four classes it gives keys from
+    ``_leaf_keys``, with the table's lookup from a key to its value; else
+    the values, from each member's value and that value marked as a near
+    and, for r > 1, a far child, with no lookup.
+    """
     if r == 1 and len(classes) <= 4:
-        keyed = _leaf_keys(classes, n)
-        return ({}, {}, {}, keyed), keyed[-1].__getitem__
+        base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(classes, len(adjacency) // 2)
+
+        def leaves(ctx_mask: int) -> list[int]:
+            stats.enter_context(depth, ctx_mask.bit_count())
+            keys = []
+            for w in bits[ctx_mask]:
+                a = adjacency[w] & ctx_mask
+                keys.append(base[w] - (
+                    (a & k1).bit_count() << s3 | (a & k2).bit_count() << s2
+                    | (a & k3).bit_count() << s1 | (a & k4).bit_count()
+                ))
+            return keys
+
+        return leaves, table.__getitem__
     own = {u: f for f, k in classes.items() for u in bits[k]}
-    return (own, {u: b"M1" + f for u, f in own.items()}, (
-        {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
-    ), None), None
+    near_marks = {u: b"M1" + f for u, f in own.items()}
+    far_marks = {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
+
+    def leaves(ctx_mask: int) -> list[Encoding]:
+        stats.enter_context(depth, ctx_mask.bit_count())
+        values = []
+        for w in bits[ctx_mask]:
+            adj_w = adjacency[w]
+            if r == 1:
+                children = [near_marks[u] for u in bits[adj_w & ctx_mask]]
+            else:
+                ball = sum(bfs_layers(adjacency, ctx_mask, w, r))
+                near = ball & adj_w
+                children = [near_marks[u] for u in bits[near]]
+                children += [far_marks[u] for u in bits[ball ^ near ^ (1 << w)]]
+            children.sort()
+            values.append(b"N" + own[w] + b"[" + b"".join(children) + b"]")
+        return values
+
+    return leaves, None
 
 
 def _encode_context(
@@ -281,12 +272,14 @@ def _encode_context(
     # ball ("far") flag 0.  A radius-1 ball is v's neighbours in the
     # context, so it needs no BFS and has no far members.
     flagged = [(b"M1" + f, b"M0" + f, k) for f, k in classes.items()]
-    lookup = None
+    leaves = lookup = None
     if len(tail) == 1:
         leaf_classes = {m1: k for m1, _, k in flagged}
         if r1 > 1:
             leaf_classes.update({m0: k << n for _, m0, k in flagged})
-        marks, lookup = _leaf_level(leaf_classes, tail[0], n, bits)
+        leaves, lookup = _leaf_level(
+            adjacency, leaf_classes, tail[0], depth + 1, stats, bits
+        )
     out: dict[int, Encoding] = {}
     for f, k in classes.items():
         head = b"N" + f + b"["
@@ -299,10 +292,8 @@ def _encode_context(
                 ball = sum(bfs_layers(adjacency, ctx_mask, v, r1))
                 near = ball & adj_v
                 far = ball ^ near ^ (1 << v)
-            if len(tail) == 1:
-                children = _encode_leaves(
-                    adjacency, near | far << n, tail[0], marks, depth + 1, stats, bits
-                )
+            if leaves is not None:
+                children = leaves(near | far << n)
             else:
                 child_classes: dict[Encoding, int] = {}
                 for m1, m0, c in flagged:
@@ -342,8 +333,8 @@ def rnp_encode_nodes(
     full = (1 << n) - 1
     bits = _BitTable()
     if len(radii) == 1:
-        marks, lookup = _leaf_level(classes, radii[0], n, bits)
-        values = _encode_leaves(adjacency, full, radii[0], marks, 0, stats, bits)
+        leaves, lookup = _leaf_level(adjacency, classes, radii[0], 0, stats, bits)
+        values = leaves(full)
         if lookup is not None:
             values = map(lookup, values)
         encodings = dict(zip(range(n), values))

@@ -252,6 +252,17 @@ class TestNumberLists:
         assert run(["gen", *argv[:-1], f"{argv[-1]}={text}"]) == (2, "")
         assert f"bad {option} '{text}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [["er", "--p", "0.5"], ["regular"]])
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 10**30])
+    def test_gen_seed_must_be_below_2_64(self, capsys, family, seed):
+        # SplitMix64 reads its seed mod 2**64: 2**64 would draw seed 0's graph.
+        assert run(["gen", *family, "--n", "6", "--seed", str(seed)]) == (2, "")
+        assert f"bad --seed '{seed}': expected an integer below 2**64" in capsys.readouterr().err
+
+    def test_largest_gen_seed_still_draws(self):
+        code, out = run(["gen", "er", "--n", "6", "--p", "0.5", "--seed", str(2**64 - 1)])
+        assert (code, out) == (0, serialize_graph(erdos_renyi(6, 0.5, 2**64 - 1)))
+
     @pytest.mark.parametrize(
         "text",
         ["0.0_5", "\u0660.\u0665", " 0.5", "0.5 ", "+0.5", "-0.5", "1e-1", ".5", "0.",
@@ -276,7 +287,30 @@ class TestNumberLists:
         assert json.loads(text)["bound"] == 216
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's int-to-str limit, pinned at its default of 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any size to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 class TestComplexityAndEncode:
+    # P3 under tau radii of 1 has bound 3 * 3**tau: 4,300 digits at tau =
+    # 9,011, which prints, and 4,301 at tau = 9,012, which does not.
+    @pytest.mark.parametrize("command", ["encode", "complexity"])
+    def test_unprintable_bound_is_user_error(self, tmp_path, capsys, digit_limit, command):
+        g = write_graph(tmp_path, "p3.txt", path(3))
+        code, text = run([command, g, "--radii", ",".join(["1"] * 9011)])
+        assert code == 0 and json.loads(text)["bound"] == 3**9012
+        for tau in (9012, 10_000):
+            assert run([command, g, "--radii", ",".join(["1"] * tau)]) == (2, "")
+            err = capsys.readouterr().err
+            assert "the n * c**tau update bound is too large to print" in err
+
     def test_isolated_nodes_hit_bound(self, tmp_path):
         from rnpkit import Graph
 
@@ -757,6 +791,11 @@ class TestExperimentValidation:
             {"checks": ["theorem2"]},
             {"mode": "both"},
             {"patterns": [], "radii": "auto"},
+            # SplitMix64 reads seeds mod 2**64, so the last trial's seed must
+            # be below 2**64.
+            {"base_seed": 2**64, "trials": 0},
+            {"base_seed": 2**64 - 1, "trials": 2},
+            {"base_seed": 2**64 - 8, "trials": 9},
         ],
     )
     def test_rejected_before_output(self, tmp_path, overrides):
@@ -790,6 +829,14 @@ class TestExperimentValidation:
         code, text = run(["experiment", experiment_spec(tmp_path, patterns=k3)])
         assert (code, text) == (2, "")
         assert "patterns must be a list" in capsys.readouterr().err
+
+    def test_largest_seeds_still_run(self, tmp_path):
+        spec = experiment_spec(tmp_path, base_seed=2**64 - 2, trials=2, patterns=[], radii=[1])
+        code, text = run(["experiment", spec])
+        assert code == 0
+        assert [row[1] for row in csv.reader(io.StringIO(text))] == [
+            "seed", str(2**64 - 2), str(2**64 - 1)
+        ]
 
     def test_host_limit_applies_only_with_patterns(self, tmp_path):
         spec = experiment_spec(
@@ -852,6 +899,16 @@ class TestExitCodes:
         assert run(["experiment", spec]) == (2, "")
         err = capsys.readouterr().err
         assert "trial 0 (seed 1): the pairing model drew no simple 7-regular graph" in err
+
+    def test_unprintable_bound_names_its_trial(self, tmp_path, capsys, digit_limit):
+        spec = experiment_spec(
+            tmp_path, generator={"kind": "er", "n": 6, "p": 0.5}, trials=2, base_seed=3,
+            patterns=[], radii=[1] * 10_000, checks=[],
+        )
+        code, text = run(["experiment", spec])
+        assert code == 2 and text.count("\n") == 1  # the header only
+        err = capsys.readouterr().err
+        assert "trial 0 (seed 3): the n * c**tau update bound is too large to print" in err
 
     def test_generator_failure_at_a_later_trial_follows_its_rows(
         self, tmp_path, monkeypatch, capsys

@@ -14,7 +14,6 @@ from rnpkit import (
     family_covering_sequence,
     is_vertex_covering_sequence,
     min_r1_covering_sequence,
-    minimum_spanning_tree,
     path,
     permuted,
     star,
@@ -122,25 +121,6 @@ class TestDefaultSequence:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             default_covering_sequence(1)
-
-
-class TestMinimumSpanningTree:
-    def test_tree_input_is_identity(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-        assert set(minimum_spanning_tree(g, lambda u, v: 1)) == set(g.edges())
-
-    def test_unit_cycle_drops_largest_edge(self):
-        tree = minimum_spanning_tree(cycle(4), lambda u, v: 1)
-        assert set(tree) == {(0, 1), (0, 3), (1, 2)}
-
-    def test_heavy_edges_force_leaf(self):
-        weight = lambda u, v: 5 if 0 in (u, v) else 1
-        tree = minimum_spanning_tree(cycle(4), weight)
-        assert sum(1 for e in tree if 0 in e) == 1
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            minimum_spanning_tree(two_triangles(), lambda u, v: 1)
 
 
 class TestMinR1:

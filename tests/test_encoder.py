@@ -30,7 +30,7 @@ from rnpkit import (
 )
 
 from rnpkit import encoder
-from rnpkit.encoder import _BitTable, _leaf_keys, _leaf_level, _leaf_tables
+from rnpkit.encoder import _BitTable, _Stats, _leaf_keys, _leaf_level, _leaf_tables
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
@@ -333,10 +333,14 @@ class TestAgainstReference:
     def test_leaf_keys_need_radius_one_and_four_values(self, monkeypatch):
         # Classes are ranked by bytes (L10; before L1;) and their masks
         # padded to four; a fifth value or a leaf radius above 1 keeps the
-        # per-child path, whose table gives each member its class's value.
+        # per-child routine, which gives each member its class's value and
+        # comes with no key lookup.  The leaf contexts here have no edges.
         own = {0: b"L1;", 1: b"L10;", 2: b"L1;", 5: b"L0;"}
         classes = {b"L1;": 0b101, b"L10;": 0b10, b"L0;": 1 << 5}
-        assert _leaf_level(classes, 2, 6, _BitTable())[0][0] == own
+        edgeless = (0,) * 12
+        leaves, lookup = _leaf_level(edgeless, classes, 2, 0, _Stats(1), _BitTable())
+        assert lookup is None
+        assert leaves(0b100111) == [node(own[u], []) for u in (0, 1, 2, 5)]
         base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(classes, 6)
         assert (k1, k2, k3, k4) == (1 << 5, 0b10, 0b101, 0)
         assert (s1, s2, s3) == (3, 6, 9)
@@ -348,8 +352,11 @@ class TestAgainstReference:
             own[0], [marked(b"L1;", 1), marked(b"L0;", 1), marked(b"L1;", 1)]
         )
         four, five = ({b"L%d;" % u: 1 << u for u in range(m)} for m in (4, 5))
-        assert _leaf_level(four, 1, 4, _BitTable())[1]
-        assert _leaf_level(five, 1, 5, _BitTable())[1] is None
+        leaves, lookup = _leaf_level((0,) * 8, four, 1, 0, _Stats(1), _BitTable())
+        keys = leaves(0b1111)
+        assert all(isinstance(key, int) for key in keys)
+        assert list(map(lookup, keys)) == [node(b"L%d;" % u, []) for u in range(4)]
+        assert _leaf_level((0,) * 10, five, 1, 0, _Stats(1), _BitTable())[1] is None
         monkeypatch.setattr(encoder, "_leaf_keys", None)
         g = erdos_renyi(9, 0.4, 3)
         feats = {v: leaf(0) for v in range(9)}
