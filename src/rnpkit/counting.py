@@ -7,16 +7,16 @@ injective-homomorphism count divided by the pattern's automorphism
 count.  One backtracking matcher, ``graphs._embeddings``, tests each
 subset for isomorphism and counts both the homomorphisms and the
 automorphisms.  ``PatternCensus`` counts a fixed list of patterns in
-many hosts from one connected-subset enumeration per pattern size,
-weighing each labelled subgraph it finds with the same matcher, and
-tests check it against the oracles.  Attribute matching is exact
-equality throughout.
+many hosts from one connected-subset enumeration per host, for all
+pattern sizes at once, weighing each labelled subgraph it finds with the
+same matcher, and tests check it against the oracles.  Attribute
+matching is exact equality throughout.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -94,27 +94,35 @@ def count_noninduced(g: Graph, h: Graph) -> int:
     return embeddings // automorphism_count(h)
 
 
-def _connected_census(g: Graph, k: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Tally of g's connected k-node induced subgraphs, keyed by the labelled
-    subgraph with its nodes in the order ESU adds them: (back-masks, attrs),
-    where the back-mask of position i holds the earlier positions adjacent
-    to it (``_key_rows`` turns it back into adjacency rows).
+def _connected_census(
+    g: Graph, sizes: Iterable[int]
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Tally of g's connected induced subgraphs of the given sizes (each
+    at least 1), keyed by the labelled subgraph with its nodes in the order
+    ESU adds them: (back-masks, attrs), where the back-mask of position i
+    holds the earlier positions adjacent to it (``_key_rows`` turns it back
+    into adjacency rows).  A key's length is its size.
 
     ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
-    each connected k-subset exactly once: a subset grows from its smallest
+    each connected subset exactly once: a subset grows from its smallest
     node, and each added node brings in only its neighbours above that
-    node which are not yet in or next to the subset.  The key grows with
-    the subset, one back-mask per added node.
+    node which are not yet in or next to the subset.  The tree does not
+    depend on the sizes, so each size is tallied at its own depth of one
+    enumeration.  The key grows with the subset, one back-mask per node.
     """
     adjacency = g.adjacency
     attributes = g.attributes
+    sizes = set(sizes)
+    deepest = max(sizes, default=0)
     tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     position = [0] * g.node_count  # a subset node -> its bit in the back-masks
 
     def extend(extension: int, closed: int, above: int, members: int,
                back: tuple[int, ...], attrs: tuple[int, ...]) -> None:
         # closed: the subset and all its neighbours
-        last = len(back) == k - 1
+        size = len(back) + 1  # of each subset made here
+        counted = size in sizes
+        last = size == deepest
         bit = 1 << len(back)
         while extension:
             low = extension & -extension
@@ -129,24 +137,22 @@ def _connected_census(g: Graph, k: int) -> dict[tuple[tuple[int, ...], tuple[int
                 low_u = adjacent & -adjacent
                 mask |= position[low_u.bit_length() - 1]
                 adjacent ^= low_u
-            if last:
-                key = (back + (mask,), attrs + (attributes[w],))
+            key = (back + (mask,), attrs + (attributes[w],))
+            if counted:
                 tally[key] = tally.get(key, 0) + 1
-            else:
+            if not last:
                 position[w] = bit
                 extend(extension | (adj_w & ~closed & above), closed | adj_w, above,
-                       members | low, back + (mask,), attrs + (attributes[w],))
+                       members | low, *key)
 
-    if k == 1:
-        for a in attributes:
-            key = ((0,), (a,))
-            tally[key] = tally.get(key, 0) + 1
-        return tally
     for v in range(g.node_count):
-        position[v] = 1
-        above = -1 << (v + 1)
-        extend(adjacency[v] & above, adjacency[v] | (1 << v), above, 1 << v,
-               (0,), (attributes[v],))
+        root = ((0,), (attributes[v],))
+        if 1 in sizes:
+            tally[root] = tally.get(root, 0) + 1
+        if deepest > 1:
+            position[v] = 1
+            above = -1 << (v + 1)
+            extend(adjacency[v] & above, adjacency[v] | (1 << v), above, 1 << v, *root)
     return tally
 
 
@@ -164,11 +170,11 @@ class PatternCensus:
 
     A connected pattern h of 1 to MAX_HISTOGRAM_PATTERN_NODES nodes can
     only match a connected vertex subset of its own size, so one ESU
-    census per size serves every pattern of that size.  h's count is the
-    sum over the census's labelled subgraphs K of tally[K] * term(K, h),
-    h's maps onto K (induced or not, as the mode) over its automorphism
-    count: 1 or 0 as K is or is not isomorphic to h when induced, h's
-    non-induced count in K otherwise.  Terms are kept per K, under its
+    census per host, tallying each size at its own depth, serves every
+    pattern.  h's count is the sum over the census's labelled subgraphs K
+    of tally[K] * term(K, h), h's maps onto K (induced or not, as the
+    mode) over its automorphism count: 1 or 0 as K is or is not
+    isomorphic to h when induced, h's non-induced count in K otherwise.  Terms are kept per K, under its
     census key, for the life of the object; the size cap bounds them (at
     most 1, 1, 4, 38 and 728 labelled connected graphs on 1 to 5 nodes for
     an unattributed host).
@@ -201,14 +207,14 @@ class PatternCensus:
         if self._patterns:
             _check_host_size(g)
         counts = [0] * len(self._patterns)
-        for k, members in self._by_size.items():
-            for key, seen in _connected_census(g, k).items():
-                terms = self._terms.get(key)
-                if terms is None:
-                    subgraph = (_key_rows(key[0]), key[1])
-                    terms = self._terms[key] = tuple(self._term(i, subgraph) for i in members)
-                for i, term in zip(members, terms):
-                    counts[i] += seen * term
+        for key, seen in _connected_census(g, self._by_size).items():
+            members = self._by_size[len(key[0])]
+            terms = self._terms.get(key)
+            if terms is None:
+                subgraph = (_key_rows(key[0]), key[1])
+                terms = self._terms[key] = tuple(self._term(i, subgraph) for i in members)
+            for i, term in zip(members, terms):
+                counts[i] += seen * term
         for i in self._oracle:
             counts[i] = self._oracle_count(g, self._patterns[i])
         return tuple(counts)

@@ -216,9 +216,10 @@ def _leaf_level(
         base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(classes, len(adjacency) // 2)
 
         def leaves(ctx_mask: int) -> list[int]:
+            # Leaf-context masks seldom repeat, so bits_of, not the table.
             stats.enter_context(depth, ctx_mask.bit_count())
             keys = []
-            for w in bits[ctx_mask]:
+            for w in bits_of(ctx_mask):
                 a = adjacency[w] & ctx_mask
                 keys.append(base[w] - (
                     (a & k1).bit_count() << s3 | (a & k2).bit_count() << s2

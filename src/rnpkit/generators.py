@@ -2,9 +2,11 @@
 
 Random families are driven exclusively by the pinned SplitMix64 stream
 (see ``rng``), so a (parameters, seed) pair yields the same graph on any
-platform, forever.  The pairing model draws in blocks of ``_DRAW_BLOCK``
-values where no draw can be rejected, and otherwise falls back to the
-plain shuffle; either way its graphs and stream states are those of the
+platform, forever.  Where no draw can be rejected, the pairing model
+takes the shuffle's steps in pairs, checking each pair of stubs as the
+two steps that fix it are taken, and draws in blocks of at most
+``_DRAW_BLOCK`` values; otherwise it falls back to the plain shuffle.
+Either way its graphs and stream states are those of the
 shuffle-then-check definition.
 """
 
@@ -73,6 +75,16 @@ def _danger_positions(stubs: int) -> tuple[int, ...]:
     ))
 
 
+@lru_cache(maxsize=8)
+def _pair_schedule(stubs: int) -> tuple[range, ...]:
+    """The pairing kernel's draw blocks for ``stubs`` stubs, from the top:
+    each is the odd steps i whose steps i and i - 1 it draws, at most
+    ``_DRAW_BLOCK`` draws.  Together they cover steps stubs - 1 down to 2
+    once; step 1 is never drawn."""
+    span = _DRAW_BLOCK // 2 * 2  # steps per block, whole pairs
+    return tuple(range(top, max(top - span, 1), -2) for top in range(stubs - 1, 1, -span))
+
+
 def _pairing_model_edges(
     n: int, d: int, pairing: SplitMix64
 ) -> list[tuple[int, int]] | None:
@@ -80,17 +92,22 @@ def _pairing_model_edges(
 
     An attempt makes the draws of ``pairing.shuffle`` on the stub list
     ``[0]*d + [1]*d + ...`` and fails if a pair (2k, 2k + 1) is a loop or
-    a repeated edge.  Shuffle step i fixes position i, so pair (i, i + 1)
-    is checked at even step i and pair (0, 1) at the last step, i = 1.
-    Draws come ``_DRAW_BLOCK`` at a time from ``next_block``, which is
-    exact while no draw of the attempt could be rejected by ``below``:
-    then an attempt takes exactly m - 1 draws, and a failed one skips the
-    rest of them in one step.  An attempt that would reach the first
-    draw at one of the ``_danger_positions`` is instead run as the
-    definition, a whole ``shuffle`` whose pairs are checked afterwards,
-    and so is every attempt after it.  ``pairing`` is left as ``shuffle``
-    leaves it after the accepted attempt.  Returns None, with ``pairing``
-    unmoved, if the attempt budget runs out.
+    a repeated edge.  Shuffle step i fixes position i, and no later step
+    reads it, so a step stores only the stub it displaces.  The kernel
+    takes the steps in pairs: odd step i and step i - 1 fix pair
+    (i - 1, i), which is checked at once.  Each node's row of drawn edges
+    starts with its own bit, so one bit test rejects a loop and a
+    repeated edge alike.  Step 1 only orders positions 0 and 1, so pair
+    (0, 1) is checked without its draw.  Draws come in the blocks of
+    ``_pair_schedule`` from ``next_block``, which is exact while no draw
+    of the attempt could be rejected by ``below``: then an attempt takes
+    exactly m - 1 draws, and the state after it is set in one step,
+    whether the attempt stopped at a bad pair or not.  An attempt that
+    would reach the first draw at one of the ``_danger_positions`` is
+    instead run as the definition, a whole ``shuffle`` whose pairs are
+    checked afterwards, and so is every attempt after it.  ``pairing`` is
+    left as ``shuffle`` leaves it after the accepted attempt.  Returns
+    None, with ``pairing`` unmoved, if the attempt budget runs out.
     """
     m = n * d
     if m == 0:
@@ -101,39 +118,45 @@ def _pairing_model_edges(
     first = (start + _GOLDEN) * _GOLDEN_INV & _MASK64
     danger = _danger_positions(m)
     safe = (danger[bisect_left(danger, first) % m] - first) & _MASK64
+    schedule = _pair_schedule(m)
     stub_list = [v for v in range(n) for _ in range(d)]
+    own = [1 << v for v in range(n)]
     for attempt in range(1, _PAIRING_MAX_ATTEMPTS + 1):
         stubs = stub_list[:]
-        rows = [0] * n
+        rows = own[:]
         if attempt * (m - 1) > safe:
             pairing.shuffle(stubs)
-            for u, v in zip(stubs[::2], stubs[1::2]):
-                if u == v or rows[u] >> v & 1:
-                    break
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            else:
-                return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u << u)]
-            continue
-        for top in range(m - 1, 0, -_DRAW_BLOCK):
-            for i, z in zip(range(top, 0, -1), pairing.next_block(min(_DRAW_BLOCK, top))):
-                j = z % (i + 1)
-                u = stubs[j]
-                stubs[j] = stubs[i]
-                stubs[i] = u
-                if i & 1 and i > 1:
-                    continue
-                v = stubs[i ^ 1]
-                if u == v or rows[u] >> v & 1:
-                    break
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            else:
-                continue
-            pairing._state = (start + attempt * (m - 1) * _GOLDEN) & _MASK64
-            break
+            pairs = zip(stubs[::2], stubs[1::2])
         else:
-            return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u << u)]
+            for steps in schedule:
+                draws = iter(pairing.next_block(2 * len(steps)))
+                for i, x, y in zip(steps, draws, draws):
+                    j = x % (i + 1)
+                    u = stubs[j]
+                    stubs[j] = stubs[i]
+                    j = y % i
+                    v = stubs[j]
+                    stubs[j] = stubs[i - 1]
+                    if rows[u] >> v & 1:
+                        break
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                else:
+                    continue
+                break
+            else:
+                u, v = stubs[0], stubs[1]
+            # the last pair to check: pair (0, 1), or the bad pair that
+            # stopped the attempt, which the check rejects again
+            pairs = ((u, v),)
+            pairing._state = (start + attempt * (m - 1) * _GOLDEN) & _MASK64
+        for u, v in pairs:
+            if rows[u] >> v & 1:
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u + 1 << u + 1)]
     pairing._state = start
     return None
 

@@ -240,22 +240,25 @@ def is_connected(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=1 << 12)
-def _search_order(adj: tuple[int, ...]) -> tuple[int, ...]:
-    # Order nodes so each one touches as many already-ordered nodes as
-    # possible; this makes the backtracking in _embeddings prune early.
+def _search_plan(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    # A search order in which each node touches as many already-ordered
+    # nodes as possible, so the backtracking in _embeddings prunes early,
+    # and for each search position the earlier positions adjacent to it.
     n = len(adj)
     remaining = set(range(n))
     order: list[int] = []
+    back: list[tuple[int, ...]] = []
     placed = 0
     while remaining:
         best = max(
             remaining,
             key=lambda u: ((adj[u] & placed).bit_count(), adj[u].bit_count(), -u),
         )
+        back.append(tuple(i for i, x in enumerate(order) if adj[best] >> x & 1))
         order.append(best)
         placed |= 1 << best
         remaining.remove(best)
-    return tuple(order)
+    return tuple(order), tuple(back)
 
 
 def _embeddings(
@@ -271,14 +274,16 @@ def _embeddings(
     Induced mode counts isomorphisms (every node pair keeps its edge
     state); otherwise every p-edge lands on a t-edge (monomorphisms).
     ``first`` stops at the first map.  Colours are any comparable values.
-    The search order is cached per adj_p: pass the recurring graph first.
+    p is planned once per adj_p, and the plan cached: a search order and,
+    per search position, the earlier positions adjacent to it, whose
+    images a candidate must be adjacent to.  Pass the recurring graph first.
     """
     k = len(adj_p)
     keys_p = list(zip(colors_p, map(int.bit_count, adj_p)))  # (colour, degree)
     keys_t = list(zip(colors_t, map(int.bit_count, adj_t)))
     if induced and sorted(keys_p) != sorted(keys_t):
         return 0
-    order = _search_order(adj_p)
+    order, back = _search_plan(adj_p)
     cells: dict = {}
     for w, key in enumerate(keys_t):
         cells.setdefault(key, []).append(w)
@@ -290,29 +295,28 @@ def _embeddings(
              if color == keys_p[u][0] and degree >= keys_p[u][1] for w in cell]
             for u in order
         ]
-    image = [0] * k  # image[u]: the bit of the node u is mapped to
+    image = [0] * k  # image[i]: the bit of the node search position i is mapped to
     total = 0
 
-    def backtrack(i: int, used: int, placed: int) -> bool:  # True: stop
+    def backtrack(i: int, used: int) -> bool:  # True: stop
         nonlocal total
         if i == k:
             total += 1
             return first
-        u = order[i]
         need = 0
-        for x in bits_of(adj_p[u] & placed):
+        for x in back[i]:
             need |= image[x]
         mask = used if induced else need
         for w in candidates[i]:
             bit = 1 << w
             if used & bit or adj_t[w] & mask != need:
                 continue
-            image[u] = bit
-            if backtrack(i + 1, used | bit, placed | (1 << u)):
+            image[i] = bit
+            if backtrack(i + 1, used | bit):
                 return True
         return False
 
-    backtrack(0, 0, 0)
+    backtrack(0, 0)
     return total
 
 

@@ -350,12 +350,15 @@ class TestPatternCensus:
     def test_census_visits_each_connected_subset_once(self):
         for seed in range(6):
             g = seeded_graph(9, 0.3, 400 + seed)
+            census = _connected_census(g, range(1, 6))
+            assert {len(back) for back, _ in census} <= set(range(1, 6))
             for k in range(1, 6):
                 connected = [
                     sub for sub in (induced_subgraph(g, s)[0] for s in combinations(range(9), k))
                     if is_connected(sub)
                 ]
-                tally = _connected_census(g, k)
+                tally = {key: seen for key, seen in census.items() if len(key[0]) == k}
+                assert _connected_census(g, [k]) == tally
                 assert sum(tally.values()) == len(connected)
                 # every class at once, by canonical code rather than the matcher
                 by_code = Counter()

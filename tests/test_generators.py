@@ -24,7 +24,7 @@ from rnpkit import (
     star,
 )
 from rnpkit import generators
-from rnpkit.generators import _pairing_model_edges
+from rnpkit.generators import _DRAW_BLOCK, _pair_schedule, _pairing_model_edges
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
 from conftest import canonical_code, primes_below, reference_pairing_edges
@@ -263,6 +263,15 @@ class TestPairingKernel:
         pairing = SplitMix64(1).split(0)
         assert _pairing_model_edges(10, 8, pairing) is None
         assert pairing.next_u64() == SplitMix64(1).split(0).next_u64()
+
+    def test_schedule_covers_each_step_once_in_whole_pairs(self):
+        for m in range(2, 61, 2):
+            steps = []
+            for odd in _pair_schedule(m):
+                assert all(i % 2 == 1 for i in odd)
+                assert 0 < 2 * len(odd) <= _DRAW_BLOCK
+                steps += [s for i in odd for s in (i, i - 1)]
+            assert steps == list(range(m - 1, 1, -1))
 
     def test_degree_zero_draws_nothing(self):
         pairing = SplitMix64(3)

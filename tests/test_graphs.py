@@ -24,7 +24,7 @@ from rnpkit import (
     update_bound,
 )
 from rnpkit import covering, encoder
-from rnpkit.graphs import bfs_layers, bits_of, layer_sizes
+from rnpkit.graphs import _embeddings, _search_plan, bfs_layers, bits_of, layer_sizes
 
 from conftest import (
     all_graphs,
@@ -34,6 +34,7 @@ from conftest import (
     graph_strategy,
     induced_subgraph,
     neighborhood,
+    reference_embeddings,
     reference_layer_sizes,
     seeded_graph,
     seeded_permutation,
@@ -308,6 +309,48 @@ class TestIsomorphism:
         h = permuted(g, seeded_permutation(6, 1))
         k = permuted(h, seeded_permutation(6, 2))
         assert are_isomorphic(g, h) and are_isomorphic(h, k) and are_isomorphic(g, k)
+
+
+@st.composite
+def _matcher_pairs(draw):
+    """(p, t) on at most 6 nodes each, with 0-1 attributes: t is any graph,
+    a relabelled copy of p, or such a copy with one more node, so that maps
+    often exist."""
+    p = draw(graph_strategy(max_nodes=6, attributed=True, max_attribute=1))
+    kind = draw(st.sampled_from(["any", "copy", "grown"]))
+    if kind == "any":
+        return p, draw(graph_strategy(max_nodes=6, attributed=True, max_attribute=1))
+    t = permuted(p, draw(st.permutations(range(p.node_count))))
+    if kind == "grown" and p.node_count < 6:
+        n = p.node_count
+        extra = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        rows = [row | (extra >> v & 1) << n for v, row in enumerate(t.adjacency)]
+        t = Graph(n + 1, (*rows, extra), (*t.attributes, draw(st.integers(0, 1))))
+    return p, t
+
+
+class TestMatcher:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_strategy(max_nodes=8))
+    def test_plan_back_positions_are_earlier_neighbours(self, g):
+        order, back = _search_plan(g.adjacency)
+        assert sorted(order) == list(range(g.node_count))
+        for j, u in enumerate(order):
+            assert back[j] == tuple(i for i in range(j) if g.has_edge(order[i], u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matcher_pairs())
+    def test_embeddings_match_brute_force(self, graphs):
+        p, t = graphs
+        for induced in (True, False):
+            # induced mode counts isomorphisms, so only equal node counts map
+            if induced and p.node_count != t.node_count:
+                expected = 0
+            else:
+                expected = reference_embeddings(p, t, induced)
+            args = (p.adjacency, p.attributes, t.adjacency, t.attributes, induced)
+            assert _embeddings(*args) == expected
+            assert _embeddings(*args, first=True) == min(expected, 1)
 
 
 class TestCanonicalCode:
