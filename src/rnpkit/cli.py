@@ -28,6 +28,7 @@ from .encoder import (
     distinguish,
     encoding_digest,
     graph_readout,
+    rnp_encode_graph,
     rnp_encode_nodes,
     update_bound,
 )
@@ -375,8 +376,15 @@ def _cmd_experiment(args, out) -> int:
     first = _draw_trial(spec, 0) if spec["trials"] else None
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    # Earlier trials, grouped exactly: encoding -> {count vector: trials}.
-    trials_by_encoding: dict[bytes, dict[tuple[int, ...], int]] = {}
+    # Each distinct encoding gets an id, numbered by first appearance; a run
+    # keeps only its full sha256 and the graph of the first trial that
+    # produced it, so no encoding's bytes outlive their trial.  The digest
+    # only picks candidate ids: a miss re-encodes each earlier graph with
+    # an equal digest (normally none) and compares bytes.
+    ids_by_digest: dict[str, list[int]] = {}
+    first_graphs: list[Graph] = []
+    # Earlier trials, grouped exactly: encoding id -> {count vector: trials}.
+    trials_by_encoding: list[dict[tuple[int, ...], int]] = []
     # Isomorphism classes seen so far with their computed columns, in
     # buckets keyed by the sorted node invariants.  Every column is an
     # isomorphism invariant, so a graph isomorphic to a representative
@@ -405,16 +413,26 @@ def _cmd_experiment(args, out) -> int:
             counts = census.counts(graph)
             encodings, counter = rnp_encode_nodes(graph, radii)
             encoding = graph_readout(encodings.values())
+            digest = encoding_digest(encoding)
+            same_digest = ids_by_digest.setdefault(digest, [])
+            encoding_id = next((i for i in same_digest if rnp_encode_graph(
+                first_graphs[i], radii) == encoding), None)
+            if encoding_id is None:
+                encoding_id = len(first_graphs)
+                same_digest.append(encoding_id)
+                first_graphs.append(graph)
+                trials_by_encoding.append({})
+            del encodings, encoding  # not held while the next miss encodes
             columns = (
                 counts,
-                encoding,
-                encoding_digest(encoding)[:16],
+                encoding_id,
+                digest[:16],
                 counter.invocations,
                 _printable_bound(graph, radii, f"trial {trial} (seed {seed}): "),
             )
             bucket.append((graph.adjacency, invariants, columns))
-        counts, encoding, digest, updates, bound = columns
-        same_encoding = trials_by_encoding.setdefault(encoding, {})
+        counts, encoding_id, digest, updates, bound = columns
+        same_encoding = trials_by_encoding[encoding_id]
         row = [
             trial,
             seed,

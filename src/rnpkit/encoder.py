@@ -81,7 +81,8 @@ def graph_readout(node_encodings: Iterable[Encoding]) -> Encoding:
 
 
 def encoding_digest(encoding: Encoding) -> str:
-    """Fixed-width display digest.  Equality decisions never use this."""
+    """Fixed-width digest.  Unequal digests mean unequal encodings, but
+    equal digests never decide equality: the bytes do."""
     return hashlib.sha256(encoding).hexdigest()
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -691,9 +692,81 @@ class TestExperiment:
 
         monkeypatch.setattr(cli, "_embeddings", recorded)
         encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        derived = count_calls(monkeypatch, "rnp_encode_graph")
         code, _ = run(["experiment", spec])
         assert code == 0
         assert (results.count(True), results.count(False), len(encoded)) == (221, 74, 79)
+        # Every class's encoding is new, so no miss re-derives one.
+        assert derived == []
+
+    def test_equal_encodings_are_rederived_once_per_miss(self, tmp_path, monkeypatch):
+        # Radius 1 sees every cycle as the same: the 16 cycle classes of
+        # these 20 trials share one encoding.  A run keeps that encoding's
+        # digest and first graph, so each later miss re-encodes that graph
+        # once to compare bytes, and a hit encodes nothing.
+        generator = {"kind": "regular", "n": 60, "d": 2, "delete": 0}
+        spec = experiment_spec(tmp_path, generator=generator, trials=20,
+                               patterns=[], radii=[1])
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        derived = count_calls(monkeypatch, "rnp_encode_graph")
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row["rnp_distinct"] for row in rows] == ["True"] + ["False"] * 19
+        assert len(encoded) == 16
+        assert derived == [random_regular_perturbed(60, 2, 0, 0)] * 15
+
+    @pytest.mark.parametrize("generator, trials", [
+        ({"kind": "er", "n": 8, "p": 0.35}, 20),
+        ({"kind": "regular", "n": 12, "d": 2, "delete": 0}, 12),
+    ], ids=["er8", "cycles12"])
+    def test_digest_never_decides_equality(self, tmp_path, monkeypatch, generator, trials):
+        # With one digest for every encoding, every earlier encoding is a
+        # candidate, so only the byte comparison can keep the cross-trial
+        # columns right.
+        spec = experiment_spec(tmp_path, generator=generator, trials=trials, radii=[1])
+        columns = ["rnp_distinct", "theorem1_violations"]
+        code, text = run(["experiment", spec])
+        assert code == 0
+        expected = [[row[c] for c in columns] for row in csv.DictReader(io.StringIO(text))]
+        if generator["kind"] == "er":
+            # Some non-isomorphic trials share an encoding and some do not.
+            graphs = [erdos_renyi(8, 0.35, s) for s in range(trials)]
+            by_encoding = {}
+            for g in graphs:
+                by_encoding.setdefault(rnp_encode_graph(g, (1,)), set()).add(canonical_code(g))
+            assert 1 < len(by_encoding) and any(len(c) > 1 for c in by_encoding.values())
+        monkeypatch.setattr(cli, "encoding_digest", lambda encoding: "0" * 64)
+        code, text = run(["experiment", spec])
+        assert code == 0
+        assert [[row[c] for c in columns] for row in csv.DictReader(io.StringIO(text))] == expected
+
+    def test_encodings_do_not_outlive_their_trial(self, tmp_path, monkeypatch):
+        # Every one of these 40 encodings is distinct; a run that kept them
+        # would trace more than their total.  The warm-up run fills the
+        # encoder's process-wide leaf table and records the encodings' sizes.
+        spec = experiment_spec(tmp_path, generator={"kind": "er", "n": 14, "p": 0.3},
+                               trials=40, base_seed=7, radii=[3, 2, 1],
+                               patterns=[write_graph(tmp_path, "k3.txt", complete(3))])
+        sizes = []
+        readout = cli.graph_readout
+
+        def recorded(node_encodings):
+            encoding = readout(node_encodings)
+            sizes.append(len(encoding))
+            return encoding
+
+        monkeypatch.setattr(cli, "graph_readout", recorded)
+        assert run(["experiment", spec])[0] == 0
+        monkeypatch.undo()
+        assert len(sizes) == 40
+        tracemalloc.start()
+        try:
+            assert run(["experiment", spec])[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(sizes) / 2
 
     @pytest.mark.parametrize("mode", ["induced", "noninduced"])
     def test_counts_match_oracles_for_mixed_patterns(self, tmp_path, mode):
