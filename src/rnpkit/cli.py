@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import MAX_HOST_NODES, PatternCensus, count_induced, count_noninduced
 from .covering import family_covering_sequence, is_vertex_covering_sequence, min_r1_covering_sequence
@@ -252,7 +253,9 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _load_experiment_spec(path: str) -> dict:
+def _load_experiment_spec(path: str) -> tuple[dict, PatternCensus, tuple[int, ...]]:
+    """The spec, its pattern census and its radii; any fault in them is a
+    user error, raised before the CSV header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -312,40 +315,6 @@ def _load_experiment_spec(path: str) -> dict:
     mode = spec.get("mode", "induced")
     if mode not in ("induced", "noninduced"):
         raise UserError(f"{path}: mode must be 'induced' or 'noninduced'")
-    return spec
-
-
-def _generate_trial(gen: dict, seed: int) -> tuple[Graph, str]:
-    if gen["kind"] == "er":
-        label = f"er(n={gen['n']},p={gen['p']})"
-        return erdos_renyi(gen["n"], gen["p"], seed), label
-    label = f"regular(n={gen['n']},d={gen['d']},delete={gen['delete']})"
-    return (
-        random_regular_perturbed(gen["n"], gen["d"], gen["delete"], seed),
-        label,
-    )
-
-
-def _draw_trial(spec: dict, trial: int) -> tuple[int, Graph, str]:
-    """A trial's seed, graph and generator label.  Parameters that pass
-    validation can still exhaust the pairing model's attempt budget at a
-    seed; that is bad input, named by trial and seed."""
-    seed = spec["base_seed"] + trial
-    try:
-        return (seed, *_generate_trial(spec["generator"], seed))
-    except ValueError as exc:
-        raise UserError(f"trial {trial} (seed {seed}): {exc}") from exc
-
-
-def _node_invariants(g: Graph) -> tuple[tuple, ...]:
-    """Each node's (attribute, BFS layer sizes): its distance histogram, which
-    splits most regular graphs where 1-WL is blind.  A key has one entry per
-    node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
-    return tuple(zip(g.attributes, layer_sizes(g.adjacency)))
-
-
-def _cmd_experiment(args, out) -> int:
-    spec = _load_experiment_spec(args.spec)
     patterns = [_load_graph(p) for p in spec["patterns"]]
     if spec["radii"] == "auto":
         if not patterns:
@@ -360,22 +329,57 @@ def _cmd_experiment(args, out) -> int:
         radii = tuple(spec["radii"])
     else:
         raise UserError("radii must be 'auto' or a nonempty list of nonnegative integers")
-    checks = list(spec.get("checks", []))
-    census = PatternCensus(patterns, spec.get("mode", "induced"))
+    return spec, PatternCensus(patterns, mode), radii
 
-    header = ["trial", "seed", "generator", "n", "radii"]
-    header += [f"count:{p}" for p in spec["patterns"]]
-    header += ["digest", "updates", "bound", "rnp_distinct", "wl_distinct"]
-    if "theorem1" in checks:
-        header.append("theorem1_violations")
-    if "theorem3" in checks:
-        header.append("theorem3_ok")
 
-    # Trial 0 is drawn before the header, so parameters the generator fails
-    # on at every seed exit with nothing on stdout.
-    first = _draw_trial(spec, 0) if spec["trials"] else None
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+def _draw_trials(spec: dict) -> Iterator[tuple[int, Graph, str]]:
+    """Each trial's seed, graph and generator label.  Parameters that pass
+    validation can still exhaust the pairing model's attempt budget at a
+    seed; that is bad input, named by trial and seed."""
+    gen = spec["generator"]
+    er = gen["kind"] == "er"
+    params = ("n", "p") if er else ("n", "d", "delete")
+    label = f"{gen['kind']}({','.join(f'{k}={gen[k]}' for k in params)})"
+    for trial in range(spec["trials"]):
+        seed = spec["base_seed"] + trial
+        try:
+            graph = (erdos_renyi if er else random_regular_perturbed)(
+                *(gen[k] for k in params), seed)
+        except ValueError as exc:
+            raise UserError(f"trial {trial} (seed {seed}): {exc}") from exc
+        yield seed, graph, label
+
+
+def _node_invariants(g: Graph) -> tuple[tuple, ...]:
+    """Each node's (attribute, BFS layer sizes): its distance histogram, which
+    splits most regular graphs where 1-WL is blind.  A key has one entry per
+    node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
+    return tuple(zip(g.attributes, layer_sizes(g.adjacency)))
+
+
+class TrialRecord(NamedTuple):
+    """One experiment trial: its columns, and what the isomorphism-class
+    memo did (``hit``, and the exact tests that failed against earlier
+    classes in the trial's bucket)."""
+
+    seed: int
+    label: str
+    graph: Graph
+    counts: tuple[int, ...]
+    digest: str
+    updates: int
+    bound: int
+    rnp_distinct: bool
+    wl_distinct: bool
+    theorem1_violations: int
+    hit: bool
+    tests_failed: int
+
+
+def run_experiment(trials: Iterable[tuple[int, Graph, str]], census: PatternCensus,
+                   radii: Sequence[int]) -> Iterator[TrialRecord]:
+    """One record per ``(seed, graph, label)`` trial, in order.  Cross-trial
+    fields compare with the earlier trials of this call only."""
     # Each distinct encoding gets an id, numbered by first appearance; a run
     # keeps only its full sha256 and the graph of the first trial that
     # produced it, so no encoding's bytes outlive their trial.  The digest
@@ -397,16 +401,18 @@ def _cmd_experiment(args, out) -> int:
     # A hit shares an earlier trial's 1-WL certificate, and every earlier
     # trial shares one with a miss, so only misses run 1-WL and record it.
     certificates: set[tuple[int, ...]] = set()
-    radii_text = ",".join(str(r) for r in radii)
-    for trial in range(spec["trials"]):
-        seed, graph, label = first if trial == 0 else _draw_trial(spec, trial)
+    for trial, (seed, graph, label) in enumerate(trials):
         invariants = tuple(invariant_ids.setdefault(x, len(invariant_ids))
                            for x in _node_invariants(graph))
         bucket = classes.setdefault(tuple(sorted(invariants)), [])
-        columns = next((c for adj, inv, c in bucket if _embeddings(
-            adj, inv, graph.adjacency, invariants, True, first=True)), None)
+        for tests_failed, (adjacency, known, columns) in enumerate(bucket):
+            if _embeddings(adjacency, known, graph.adjacency, invariants, True, first=True):
+                break
+        else:
+            tests_failed, columns = len(bucket), None
+        hit = columns is not None
         wl_distinct = False
-        if columns is None:
+        if not hit:
             certificate = wl_refine(graph)[0]
             wl_distinct = certificate not in certificates
             certificates.add(certificate)
@@ -433,25 +439,42 @@ def _cmd_experiment(args, out) -> int:
             bucket.append((graph.adjacency, invariants, columns))
         counts, encoding_id, digest, updates, bound = columns
         same_encoding = trials_by_encoding[encoding_id]
-        row = [
-            trial,
-            seed,
-            label,
-            graph.node_count,
-            radii_text,
-            *counts,
-            digest,
-            updates,
-            bound,
-            not same_encoding,
-            wl_distinct,
-        ]
-        if "theorem1" in checks:
-            row.append(sum(same_encoding.values()) - same_encoding.get(counts, 0))
-        if "theorem3" in checks:
-            row.append(updates <= bound)
-        writer.writerow(row)
+        record = TrialRecord(seed, label, graph, counts, digest, updates, bound,
+                             not same_encoding, wl_distinct,
+                             sum(same_encoding.values()) - same_encoding.get(counts, 0),
+                             hit, tests_failed)
         same_encoding[counts] = same_encoding.get(counts, 0) + 1
+        yield record
+
+
+def _cmd_experiment(args, out) -> int:
+    spec, census, radii = _load_experiment_spec(args.spec)
+    checks = spec.get("checks", [])
+    header = ["trial", "seed", "generator", "n", "radii"]
+    header += [f"count:{p}" for p in spec["patterns"]]
+    header += ["digest", "updates", "bound", "rnp_distinct", "wl_distinct"]
+    if "theorem1" in checks:
+        header.append("theorem1_violations")
+    if "theorem3" in checks:
+        header.append("theorem3_ok")
+
+    # Trial 0 is drawn before the header, so parameters the generator fails
+    # on at every seed exit with nothing on stdout.
+    draws = _draw_trials(spec)
+    first = list(itertools.islice(draws, 1))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    radii_text = ",".join(str(r) for r in radii)
+    records = run_experiment(itertools.chain(first, draws), census, radii)
+    for trial, record in enumerate(records):
+        row = [trial, record.seed, record.label, record.graph.node_count, radii_text,
+               *record.counts, record.digest, record.updates, record.bound,
+               record.rnp_distinct, record.wl_distinct]
+        if "theorem1" in checks:
+            row.append(record.theorem1_violations)
+        if "theorem3" in checks:
+            row.append(record.updates <= record.bound)
+        writer.writerow(row)
     return 0
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rnpkit import (
     Graph,
+    PatternCensus,
     SplitMix64,
     are_isomorphic,
     complete,
@@ -401,41 +402,66 @@ def component_sizes(g):
     return sizes
 
 
-def recomputed_rows(trials, patterns, spec_path, radii, mode):
-    """Every experiment column, recomputed per trial and by rescanning earlier ones.
+def recomputed_records(trials, patterns, radii, mode):
+    """Every record field but the memo's, recomputed per trial and by rescanning earlier ones.
 
-    ``trials`` lists (seed, generator label, graph) per trial; every check
-    is on.
+    ``trials`` lists (seed, graph, generator label) per trial, as
+    ``cli.run_experiment`` takes them.
     """
     oracle = count_induced if mode == "induced" else count_noninduced
-    files = spec_patterns(spec_path)
     earlier = []
-    rows = []
-    for trial, (seed, label, g) in enumerate(trials):
+    records = []
+    for seed, g, label in trials:
         encoding = rnp_encode_graph(g, radii)
-        counts = [oracle(g, h) for h in patterns]
+        counts = tuple(oracle(g, h) for h in patterns)
         histogram = reference_wl_histogram(g)
-        updates = rnp_encode_nodes(g, radii)[1].invocations
-        bound = update_bound(g, radii)
-        rows.append({
-            "trial": str(trial),
-            "seed": str(seed),
-            "generator": label,
-            "n": str(g.node_count),
-            "radii": ",".join(str(r) for r in radii),
-            **{f"count:{f}": str(c) for f, c in zip(files, counts)},
+        records.append({
+            "seed": seed,
+            "label": label,
+            "graph": g,
+            "counts": counts,
             "digest": encoding_digest(encoding)[:16],
-            "updates": str(updates),
-            "bound": str(bound),
-            "rnp_distinct": str(all(e != encoding for e, _, _ in earlier)),
-            "wl_distinct": str(all(w != histogram for _, _, w in earlier)),
-            "theorem1_violations": str(
-                sum(1 for e, c, _ in earlier if e == encoding and c != counts)
+            "updates": rnp_encode_nodes(g, radii)[1].invocations,
+            "bound": update_bound(g, radii),
+            "rnp_distinct": all(e != encoding for e, _, _ in earlier),
+            "wl_distinct": all(w != histogram for _, _, w in earlier),
+            "theorem1_violations": sum(
+                1 for e, c, _ in earlier if e == encoding and c != counts
             ),
-            "theorem3_ok": str(updates <= bound),
         })
         earlier.append((encoding, counts, histogram))
-    return rows
+    return records
+
+
+def recomputed_rows(trials, patterns, spec_path, radii, mode):
+    """The experiment's CSV rows, every check on, from ``recomputed_records``."""
+    files = spec_patterns(spec_path)
+    same_name = ("digest", "updates", "bound", "rnp_distinct", "wl_distinct", "theorem1_violations")
+    return [
+        {
+            "trial": str(trial),
+            "seed": str(r["seed"]),
+            "generator": r["label"],
+            "n": str(r["graph"].node_count),
+            "radii": ",".join(str(x) for x in radii),
+            **{f"count:{f}": str(c) for f, c in zip(files, r["counts"])},
+            **{key: str(r[key]) for key in same_name},
+            "theorem3_ok": str(r["updates"] <= r["bound"]),
+        }
+        for trial, r in enumerate(recomputed_records(trials, patterns, radii, mode))
+    ]
+
+
+def experiment_records(trials, patterns, radii, mode="induced"):
+    return list(cli.run_experiment(trials, PatternCensus(patterns, mode), radii))
+
+
+def memo_free(records):
+    """Records as dicts without the memo's fields, as ``recomputed_records`` gives them."""
+    return [
+        {k: v for k, v in r._asdict().items() if k not in ("hit", "tests_failed")}
+        for r in records
+    ]
 
 
 def rook_and_shrikhande():
@@ -535,31 +561,47 @@ class TestExperiment:
         code, text = run(["experiment", spec])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
-        trials = [(seed, "er(n=6,p=0.5)", erdos_renyi(6, 0.5, seed)) for seed in range(30)]
+        trials = [(seed, erdos_renyi(6, 0.5, seed), "er(n=6,p=0.5)") for seed in range(30)]
         assert rows == recomputed_rows(trials, [complete(3), path(3)], spec, (0,), "induced")
         assert any(row["theorem1_violations"] != "0" for row in rows)
         assert any(row["wl_distinct"] == "False" for row in rows)
 
     @pytest.mark.parametrize("mode", ["induced", "noninduced"])
-    def test_isomorphic_trials_match_a_recomputation(self, tmp_path, monkeypatch, mode):
+    def test_isomorphic_trials_match_a_recomputation(self, tmp_path, mode):
         generator = {"kind": "regular", "n": 8, "d": 3, "delete": 1}
         spec = experiment_spec(tmp_path, generator=generator, trials=200, mode=mode)
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
         code, text = run(["experiment", spec])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         label = "regular(n=8,d=3,delete=1)"
-        trials = [(s, label, random_regular_perturbed(8, 3, 1, s)) for s in range(200)]
+        trials = [(s, random_regular_perturbed(8, 3, 1, s), label) for s in range(200)]
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
         assert rows == recomputed_rows(trials, patterns, spec, radii, mode)
-        # The spec repeats classes, and some classes share a 1-WL key.
-        classes = {canonical_code(g) for _, _, g in trials}
-        assert len(encoded) == len(classes) < 20
+        # The spec repeats classes, and some classes share a 1-WL key.  Only
+        # a miss counts and encodes.
+        classes = {canonical_code(g) for _, g, _ in trials}
+        records = experiment_records(trials, patterns, radii, mode)
+        assert sum(not r.hit for r in records) == len(classes) < 20
         assert len(classes) > sum(row["wl_distinct"] == "True" for row in rows)
 
+    def test_hits_are_exactly_repeated_classes(self):
+        # A trial hits exactly when an earlier trial is isomorphic to it, by
+        # the independent canonical-form oracle; a second run over the same
+        # trials, with the same census, starts from nothing.
+        trials = [(s, random_regular_perturbed(8, 3, 1, s), "fixed") for s in range(200)]
+        patterns = [complete(3), path(3)]
+        radii = family_covering_sequence(patterns)
+        census = PatternCensus(patterns)
+        records = list(cli.run_experiment(trials, census, radii))
+        earlier = set()
+        for (_, g, _), record in zip(trials, records, strict=True):
+            assert record.hit == (canonical_code(g) in earlier)
+            earlier.add(canonical_code(g))
+        assert list(cli.run_experiment(trials, census, radii)) == records
+
     @pytest.mark.parametrize("pair", ["figure2", "strongly_regular"])
-    def test_key_collision_is_not_a_hit(self, tmp_path, monkeypatch, pair):
+    def test_key_collision_is_not_a_hit(self, pair):
         # C6 and two triangles share a 1-WL key; the rook's and Shrikhande
         # graphs share the memo key too.  Neither pair is isomorphic.
         if pair == "figure2":
@@ -573,27 +615,20 @@ class TestExperiment:
         for i in range(3):
             sequence.append(permuted(a, shuffled(n, 2 * i)))
             sequence.append(permuted(b, shuffled(n, 2 * i + 1)))
-        monkeypatch.setattr(cli, "_generate_trial", lambda gen, seed: (sequence[seed], "fixed"))
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
-        files = [write_graph(tmp_path, f"h{i}.txt", h) for i, h in enumerate(patterns)]
-        spec = experiment_spec(tmp_path, generator={"kind": "er", "n": n, "p": 0.5},
-                               trials=len(sequence), patterns=files)
-        code, text = run(["experiment", spec])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(text)))
-        trials = [(seed, "fixed", g) for seed, g in enumerate(sequence)]
+        trials = [(seed, g, "fixed") for seed, g in enumerate(sequence)]
         radii = family_covering_sequence(patterns)
-        assert rows == recomputed_rows(trials, patterns, spec, radii, "induced")
-        columns = ["digest", "updates", "bound"] + [f"count:{f}" for f in files]
-        first, second = ([row[c] for c in columns] for row in rows[:2])
-        assert first[0] != second[0] and first[3:] != second[3:]
-        for i, row in enumerate(rows[2:]):
-            assert [row[c] for c in columns] == (first if i % 2 == 0 else second)
-        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * 7
-        assert [row["rnp_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
-        assert encoded == [a, b]
+        records = experiment_records(trials, patterns, radii)
+        assert memo_free(records) == recomputed_records(trials, patterns, radii, "induced")
+        columns = [(r.digest, r.updates, r.bound, r.counts) for r in records]
+        first, second = columns[:2]
+        assert first[0] != second[0] and first[3] != second[3]
+        for i, trial_columns in enumerate(columns[2:]):
+            assert trial_columns == (first if i % 2 == 0 else second)
+        assert [r.wl_distinct for r in records] == [True] + [False] * 7
+        assert [r.rnp_distinct for r in records] == [True] * 2 + [False] * 6
+        assert [r.graph for r in records if not r.hit] == [a, b]
 
-    def test_attributed_hosts_through_the_memo(self, tmp_path, monkeypatch):
+    def test_attributed_hosts_through_the_memo(self):
         # experiment only generates attribute-0 hosts; the memo key and the
         # exact test must still keep graphs apart by attribute.
         base = erdos_renyi(8, 0.5, 4)
@@ -603,19 +638,14 @@ class TestExperiment:
         for i in range(3):
             sequence.append(permuted(a, shuffled(8, 2 * i)))
             sequence.append(permuted(b, shuffled(8, 2 * i + 1)))
-        monkeypatch.setattr(cli, "_generate_trial", lambda gen, seed: (sequence[seed], "fixed"))
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
-        spec = experiment_spec(tmp_path, trials=len(sequence))
-        code, text = run(["experiment", spec])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(text)))
-        trials = [(seed, "fixed", g) for seed, g in enumerate(sequence)]
+        trials = [(seed, g, "fixed") for seed, g in enumerate(sequence)]
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
-        assert rows == recomputed_rows(trials, patterns, spec, radii, "induced")
-        assert [row["wl_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
-        assert [row["rnp_distinct"] for row in rows] == ["True"] * 2 + ["False"] * 6
-        assert encoded == [a, b]
+        records = experiment_records(trials, patterns, radii)
+        assert memo_free(records) == recomputed_records(trials, patterns, radii, "induced")
+        assert [r.wl_distinct for r in records] == [True] * 2 + [False] * 6
+        assert [r.rnp_distinct for r in records] == [True] * 2 + [False] * 6
+        assert [r.graph for r in records if not r.hit] == [a, b]
 
     @pytest.mark.parametrize("generator, trials", [
         ({"kind": "regular", "n": 16, "d": 3, "delete": 0}, 60),
@@ -624,9 +654,7 @@ class TestExperiment:
         ({"kind": "regular", "n": 60, "d": 1, "delete": 0}, 20),
         ({"kind": "regular", "n": 60, "d": 2, "delete": 0}, 20),
     ], ids=["cubic16", "complete20", "empty64", "matching60", "cycles60"])
-    def test_regular_classes_are_not_tested_pairwise(
-        self, tmp_path, monkeypatch, generator, trials
-    ):
+    def test_regular_classes_are_not_tested_pairwise(self, generator, trials):
         # 1-WL gives every regular graph of one degree and size the same
         # certificate.  The memo key carries each node's distance histogram,
         # which keeps distinct classes out of each other's buckets; a hit
@@ -636,85 +664,57 @@ class TestExperiment:
         # run without patterns.
         if generator["n"] > 16:
             patterns, radii = [], (1,)
-            spec = experiment_spec(tmp_path, generator=generator, trials=trials,
-                                   patterns=[], radii=[1])
         else:
             patterns = [complete(3), path(3)]
             radii = family_covering_sequence(patterns)
-            spec = experiment_spec(tmp_path, generator=generator, trials=trials)
-        results = []
-        exact_test = cli._embeddings
-
-        def recorded(*args, **kwargs):
-            results.append(bool(exact_test(*args, **kwargs)))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "_embeddings", recorded)
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
-        code, text = run(["experiment", spec])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(text)))
         n = generator["n"]
         if generator["kind"] == "er":
-            label = f"er(n={n},p={generator['p']})"
             graphs = [erdos_renyi(n, generator["p"], s) for s in range(trials)]
         else:
             d, delete = generator["d"], generator["delete"]
-            label = f"regular(n={n},d={d},delete={delete})"
             graphs = [random_regular_perturbed(n, d, delete, s) for s in range(trials)]
-        trial_rows = [(s, label, g) for s, g in enumerate(graphs)]
-        assert rows == recomputed_rows(trial_rows, patterns, spec, radii, "induced")
-        assert [row["wl_distinct"] for row in rows] == ["True"] + ["False"] * (trials - 1)
-        # Each hit is one passing test; failing tests compare distinct classes.
-        assert results.count(True) == trials - len(encoded)
-        assert results.count(False) < 10
+        drawn = [(s, g, "fixed") for s, g in enumerate(graphs)]
+        records = experiment_records(drawn, patterns, radii)
+        assert memo_free(records) == recomputed_records(drawn, patterns, radii, "induced")
+        assert [r.wl_distinct for r in records] == [True] + [False] * (trials - 1)
+        # Failing tests compare distinct classes.
+        assert sum(r.tests_failed for r in records) < 10
         if generator.get("d", 0) != 3:
             # Every component is complete, an edge or a cycle: its size
             # names it, so the sorted sizes name the class.
             classes = {tuple(sorted(component_sizes(g))) for g in graphs}
-            assert len(encoded) == len(classes)
+            assert sum(not r.hit for r in records) == len(classes)
 
-    def test_stream_regular_buckets_hold(self, tmp_path, monkeypatch):
+    def test_stream_regular_buckets_hold(self):
         # The benchmark's (10, 3, 1) stream: 3-regular graphs with one edge
         # deleted, most of them repeats.  Which earlier classes share a
         # trial's bucket decides how many exact tests fail, so the memo key
         # is pinned by the passing tests (hits), the failing ones and the
         # misses that get encoded.
-        generator = {"kind": "regular", "n": 10, "d": 3, "delete": 1}
-        spec = experiment_spec(tmp_path, generator=generator, trials=300,
-                               base_seed=5_000_000, mode="noninduced")
-        results = []
-        exact_test = cli._embeddings
+        seeds = range(5_000_000, 5_000_300)
+        trials = [(s, random_regular_perturbed(10, 3, 1, s), "fixed") for s in seeds]
+        patterns = [complete(3), path(3)]
+        records = experiment_records(
+            trials, patterns, family_covering_sequence(patterns), "noninduced"
+        )
+        outcome = (sum(r.hit for r in records), sum(r.tests_failed for r in records),
+                   sum(not r.hit for r in records))
+        assert outcome == (221, 74, 79)
+        # Every class's encoding is new, so no miss re-derives one: a miss
+        # re-derives only when an earlier encoding has its sha256.
+        assert all(r.rnp_distinct for r in records if not r.hit)
 
-        def recorded(*args, **kwargs):
-            results.append(bool(exact_test(*args, **kwargs)))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "_embeddings", recorded)
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
-        derived = count_calls(monkeypatch, "rnp_encode_graph")
-        code, _ = run(["experiment", spec])
-        assert code == 0
-        assert (results.count(True), results.count(False), len(encoded)) == (221, 74, 79)
-        # Every class's encoding is new, so no miss re-derives one.
-        assert derived == []
-
-    def test_equal_encodings_are_rederived_once_per_miss(self, tmp_path, monkeypatch):
+    def test_equal_encodings_are_rederived_once_per_miss(self, monkeypatch):
         # Radius 1 sees every cycle as the same: the 16 cycle classes of
         # these 20 trials share one encoding.  A run keeps that encoding's
         # digest and first graph, so each later miss re-encodes that graph
         # once to compare bytes, and a hit encodes nothing.
-        generator = {"kind": "regular", "n": 60, "d": 2, "delete": 0}
-        spec = experiment_spec(tmp_path, generator=generator, trials=20,
-                               patterns=[], radii=[1])
-        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        trials = [(s, random_regular_perturbed(60, 2, 0, s), "fixed") for s in range(20)]
         derived = count_calls(monkeypatch, "rnp_encode_graph")
-        code, text = run(["experiment", spec])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert [row["rnp_distinct"] for row in rows] == ["True"] + ["False"] * 19
-        assert len(encoded) == 16
-        assert derived == [random_regular_perturbed(60, 2, 0, 0)] * 15
+        records = experiment_records(trials, [], (1,))
+        assert [r.rnp_distinct for r in records] == [True] + [False] * 19
+        assert sum(not r.hit for r in records) == 16
+        assert derived == [trials[0][1]] * 15
 
     @pytest.mark.parametrize("generator, trials", [
         ({"kind": "er", "n": 8, "p": 0.35}, 20),
@@ -986,12 +986,12 @@ class TestExitCodes:
     def test_generator_failure_at_a_later_trial_follows_its_rows(
         self, tmp_path, monkeypatch, capsys
     ):
-        def failing_at_seed_2(gen, seed):
+        def failing_at_seed_2(n, p, seed):
             if seed == 2:
                 raise ValueError("no graph at this seed")
-            return erdos_renyi(6, 0.5, seed), "fixed"
+            return erdos_renyi(n, p, seed)
 
-        monkeypatch.setattr(cli, "_generate_trial", failing_at_seed_2)
+        monkeypatch.setattr(cli, "erdos_renyi", failing_at_seed_2)
         code, text = run(["experiment", experiment_spec(tmp_path, trials=4)])
         assert code == 2
         assert [row[0] for row in csv.reader(io.StringIO(text))] == ["trial", "0", "1"]
