@@ -332,22 +332,21 @@ def _load_experiment_spec(path: str) -> tuple[dict, PatternCensus, tuple[int, ..
     return spec, PatternCensus(patterns, mode), radii
 
 
-def _draw_trials(spec: dict) -> Iterator[tuple[int, Graph, str]]:
-    """Each trial's seed, graph and generator label.  Parameters that pass
-    validation can still exhaust the pairing model's attempt budget at a
-    seed; that is bad input, named by trial and seed."""
+def _draw_trials(spec: dict) -> Iterator[tuple[int, Graph]]:
+    """Each trial's seed and graph.  Parameters that pass validation can
+    still exhaust the pairing model's attempt budget at a seed; that is bad
+    input, named by trial and seed."""
     gen = spec["generator"]
-    er = gen["kind"] == "er"
-    params = ("n", "p") if er else ("n", "d", "delete")
-    label = f"{gen['kind']}({','.join(f'{k}={gen[k]}' for k in params)})"
     for trial in range(spec["trials"]):
         seed = spec["base_seed"] + trial
         try:
-            graph = (erdos_renyi if er else random_regular_perturbed)(
-                *(gen[k] for k in params), seed)
+            if gen["kind"] == "er":
+                graph = erdos_renyi(gen["n"], gen["p"], seed)
+            else:
+                graph = random_regular_perturbed(gen["n"], gen["d"], gen["delete"], seed)
         except ValueError as exc:
             raise UserError(f"trial {trial} (seed {seed}): {exc}") from exc
-        yield seed, graph, label
+        yield seed, graph
 
 
 def _node_invariants(g: Graph) -> tuple[tuple, ...]:
@@ -358,12 +357,10 @@ def _node_invariants(g: Graph) -> tuple[tuple, ...]:
 
 
 class TrialRecord(NamedTuple):
-    """One experiment trial: its columns, and what the isomorphism-class
-    memo did (``hit``, and the exact tests that failed against earlier
-    classes in the trial's bucket)."""
+    """One experiment trial: its columns, and what the isomorphism-class memo
+    did (``hit``, and the exact tests that failed against its bucket's classes)."""
 
     seed: int
-    label: str
     graph: Graph
     counts: tuple[int, ...]
     digest: str
@@ -376,9 +373,9 @@ class TrialRecord(NamedTuple):
     tests_failed: int
 
 
-def run_experiment(trials: Iterable[tuple[int, Graph, str]], census: PatternCensus,
+def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
                    radii: Sequence[int]) -> Iterator[TrialRecord]:
-    """One record per ``(seed, graph, label)`` trial, in order.  Cross-trial
+    """One record per ``(seed, graph)`` trial, in order.  Cross-trial
     fields compare with the earlier trials of this call only."""
     # Each distinct encoding gets an id, numbered by first appearance; a run
     # keeps only its full sha256 and the graph of the first trial that
@@ -401,7 +398,7 @@ def run_experiment(trials: Iterable[tuple[int, Graph, str]], census: PatternCens
     # A hit shares an earlier trial's 1-WL certificate, and every earlier
     # trial shares one with a miss, so only misses run 1-WL and record it.
     certificates: set[tuple[int, ...]] = set()
-    for trial, (seed, graph, label) in enumerate(trials):
+    for trial, (seed, graph) in enumerate(trials):
         invariants = tuple(invariant_ids.setdefault(x, len(invariant_ids))
                            for x in _node_invariants(graph))
         bucket = classes.setdefault(tuple(sorted(invariants)), [])
@@ -439,7 +436,7 @@ def run_experiment(trials: Iterable[tuple[int, Graph, str]], census: PatternCens
             bucket.append((graph.adjacency, invariants, columns))
         counts, encoding_id, digest, updates, bound = columns
         same_encoding = trials_by_encoding[encoding_id]
-        record = TrialRecord(seed, label, graph, counts, digest, updates, bound,
+        record = TrialRecord(seed, graph, counts, digest, updates, bound,
                              not same_encoding, wl_distinct,
                              sum(same_encoding.values()) - same_encoding.get(counts, 0),
                              hit, tests_failed)
@@ -464,10 +461,13 @@ def _cmd_experiment(args, out) -> int:
     first = list(itertools.islice(draws, 1))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
+    gen = spec["generator"]
+    label = (f"er(n={gen['n']},p={gen['p']})" if gen["kind"] == "er" else
+             f"regular(n={gen['n']},d={gen['d']},delete={gen['delete']})")
     radii_text = ",".join(str(r) for r in radii)
     records = run_experiment(itertools.chain(first, draws), census, radii)
     for trial, record in enumerate(records):
-        row = [trial, record.seed, record.label, record.graph.node_count, radii_text,
+        row = [trial, record.seed, label, record.graph.node_count, radii_text,
                *record.counts, record.digest, record.updates, record.bound,
                record.rnp_distinct, record.wl_distinct]
         if "theorem1" in checks:

@@ -405,19 +405,18 @@ def component_sizes(g):
 def recomputed_records(trials, patterns, radii, mode):
     """Every record field but the memo's, recomputed per trial and by rescanning earlier ones.
 
-    ``trials`` lists (seed, graph, generator label) per trial, as
-    ``cli.run_experiment`` takes them.
+    ``trials`` lists (seed, graph) per trial, as ``cli.run_experiment``
+    takes them.
     """
     oracle = count_induced if mode == "induced" else count_noninduced
     earlier = []
     records = []
-    for seed, g, label in trials:
+    for seed, g in trials:
         encoding = rnp_encode_graph(g, radii)
         counts = tuple(oracle(g, h) for h in patterns)
         histogram = reference_wl_histogram(g)
         records.append({
             "seed": seed,
-            "label": label,
             "graph": g,
             "counts": counts,
             "digest": encoding_digest(encoding)[:16],
@@ -433,7 +432,7 @@ def recomputed_records(trials, patterns, radii, mode):
     return records
 
 
-def recomputed_rows(trials, patterns, spec_path, radii, mode):
+def recomputed_rows(trials, label, patterns, spec_path, radii, mode):
     """The experiment's CSV rows, every check on, from ``recomputed_records``."""
     files = spec_patterns(spec_path)
     same_name = ("digest", "updates", "bound", "rnp_distinct", "wl_distinct", "theorem1_violations")
@@ -441,7 +440,7 @@ def recomputed_rows(trials, patterns, spec_path, radii, mode):
         {
             "trial": str(trial),
             "seed": str(r["seed"]),
-            "generator": r["label"],
+            "generator": label,
             "n": str(r["graph"].node_count),
             "radii": ",".join(str(x) for x in radii),
             **{f"count:{f}": str(c) for f, c in zip(files, r["counts"])},
@@ -561,8 +560,10 @@ class TestExperiment:
         code, text = run(["experiment", spec])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
-        trials = [(seed, erdos_renyi(6, 0.5, seed), "er(n=6,p=0.5)") for seed in range(30)]
-        assert rows == recomputed_rows(trials, [complete(3), path(3)], spec, (0,), "induced")
+        trials = [(seed, erdos_renyi(6, 0.5, seed)) for seed in range(30)]
+        assert rows == recomputed_rows(
+            trials, "er(n=6,p=0.5)", [complete(3), path(3)], spec, (0,), "induced"
+        )
         assert any(row["theorem1_violations"] != "0" for row in rows)
         assert any(row["wl_distinct"] == "False" for row in rows)
 
@@ -574,28 +575,33 @@ class TestExperiment:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         label = "regular(n=8,d=3,delete=1)"
-        trials = [(s, random_regular_perturbed(8, 3, 1, s), label) for s in range(200)]
+        trials = [(s, random_regular_perturbed(8, 3, 1, s)) for s in range(200)]
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
-        assert rows == recomputed_rows(trials, patterns, spec, radii, mode)
+        assert rows == recomputed_rows(trials, label, patterns, spec, radii, mode)
         # The spec repeats classes, and some classes share a 1-WL key.  Only
         # a miss counts and encodes.
-        classes = {canonical_code(g) for _, g, _ in trials}
+        classes = {canonical_code(g) for _, g in trials}
         records = experiment_records(trials, patterns, radii, mode)
         assert sum(not r.hit for r in records) == len(classes) < 20
         assert len(classes) > sum(row["wl_distinct"] == "True" for row in rows)
 
-    def test_hits_are_exactly_repeated_classes(self):
+    def test_hits_are_exactly_repeated_classes(self, monkeypatch):
         # A trial hits exactly when an earlier trial is isomorphic to it, by
-        # the independent canonical-form oracle; a second run over the same
-        # trials, with the same census, starts from nothing.
-        trials = [(s, random_regular_perturbed(8, 3, 1, s), "fixed") for s in range(200)]
+        # the independent canonical-form oracle, and a hit runs neither 1-WL
+        # nor the encoder; a second run over the same trials, with the same
+        # census, starts from nothing.
+        trials = [(s, random_regular_perturbed(8, 3, 1, s)) for s in range(200)]
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
         census = PatternCensus(patterns)
+        refined = count_calls(monkeypatch, "wl_refine")
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
         records = list(cli.run_experiment(trials, census, radii))
+        misses = [r.graph for r in records if not r.hit]
+        assert refined == encoded == misses
         earlier = set()
-        for (_, g, _), record in zip(trials, records, strict=True):
+        for (_, g), record in zip(trials, records, strict=True):
             assert record.hit == (canonical_code(g) in earlier)
             earlier.add(canonical_code(g))
         assert list(cli.run_experiment(trials, census, radii)) == records
@@ -615,7 +621,7 @@ class TestExperiment:
         for i in range(3):
             sequence.append(permuted(a, shuffled(n, 2 * i)))
             sequence.append(permuted(b, shuffled(n, 2 * i + 1)))
-        trials = [(seed, g, "fixed") for seed, g in enumerate(sequence)]
+        trials = list(enumerate(sequence))
         radii = family_covering_sequence(patterns)
         records = experiment_records(trials, patterns, radii)
         assert memo_free(records) == recomputed_records(trials, patterns, radii, "induced")
@@ -638,7 +644,7 @@ class TestExperiment:
         for i in range(3):
             sequence.append(permuted(a, shuffled(8, 2 * i)))
             sequence.append(permuted(b, shuffled(8, 2 * i + 1)))
-        trials = [(seed, g, "fixed") for seed, g in enumerate(sequence)]
+        trials = list(enumerate(sequence))
         patterns = [complete(3), path(3)]
         radii = family_covering_sequence(patterns)
         records = experiment_records(trials, patterns, radii)
@@ -673,7 +679,7 @@ class TestExperiment:
         else:
             d, delete = generator["d"], generator["delete"]
             graphs = [random_regular_perturbed(n, d, delete, s) for s in range(trials)]
-        drawn = [(s, g, "fixed") for s, g in enumerate(graphs)]
+        drawn = list(enumerate(graphs))
         records = experiment_records(drawn, patterns, radii)
         assert memo_free(records) == recomputed_records(drawn, patterns, radii, "induced")
         assert [r.wl_distinct for r in records] == [True] + [False] * (trials - 1)
@@ -685,31 +691,31 @@ class TestExperiment:
             classes = {tuple(sorted(component_sizes(g))) for g in graphs}
             assert sum(not r.hit for r in records) == len(classes)
 
-    def test_stream_regular_buckets_hold(self):
+    def test_stream_regular_buckets_hold(self, monkeypatch):
         # The benchmark's (10, 3, 1) stream: 3-regular graphs with one edge
         # deleted, most of them repeats.  Which earlier classes share a
         # trial's bucket decides how many exact tests fail, so the memo key
         # is pinned by the passing tests (hits), the failing ones and the
         # misses that get encoded.
         seeds = range(5_000_000, 5_000_300)
-        trials = [(s, random_regular_perturbed(10, 3, 1, s), "fixed") for s in seeds]
+        trials = [(s, random_regular_perturbed(10, 3, 1, s)) for s in seeds]
         patterns = [complete(3), path(3)]
+        derived = count_calls(monkeypatch, "rnp_encode_graph")
         records = experiment_records(
             trials, patterns, family_covering_sequence(patterns), "noninduced"
         )
         outcome = (sum(r.hit for r in records), sum(r.tests_failed for r in records),
                    sum(not r.hit for r in records))
         assert outcome == (221, 74, 79)
-        # Every class's encoding is new, so no miss re-derives one: a miss
-        # re-derives only when an earlier encoding has its sha256.
-        assert all(r.rnp_distinct for r in records if not r.hit)
+        # Every class's encoding is new, so no miss re-derives one.
+        assert derived == []
 
     def test_equal_encodings_are_rederived_once_per_miss(self, monkeypatch):
         # Radius 1 sees every cycle as the same: the 16 cycle classes of
         # these 20 trials share one encoding.  A run keeps that encoding's
         # digest and first graph, so each later miss re-encodes that graph
         # once to compare bytes, and a hit encodes nothing.
-        trials = [(s, random_regular_perturbed(60, 2, 0, s), "fixed") for s in range(20)]
+        trials = [(s, random_regular_perturbed(60, 2, 0, s)) for s in range(20)]
         derived = count_calls(monkeypatch, "rnp_encode_graph")
         records = experiment_records(trials, [], (1,))
         assert [r.rnp_distinct for r in records] == [True] + [False] * 19
