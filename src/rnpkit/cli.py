@@ -44,7 +44,9 @@ from .graphs import (
     Graph,
     ParseError,
     UnsupportedSizeError,
-    _embeddings,
+    _cell_masks,
+    _search,
+    _search_plan,
     layer_sizes,
     parse_graph,
     serialize_graph,
@@ -315,21 +317,27 @@ def _load_experiment_spec(path: str) -> tuple[dict, PatternCensus, tuple[int, ..
     mode = spec.get("mode", "induced")
     if mode not in ("induced", "noninduced"):
         raise UserError(f"{path}: mode must be 'induced' or 'noninduced'")
-    patterns = [_load_graph(p) for p in spec["patterns"]]
+    try:
+        patterns = [_load_graph(p) for p in spec["patterns"]]
+    except UserError as exc:
+        raise UserError(f"{path}: {exc}") from exc
     if spec["radii"] == "auto":
         if not patterns:
-            raise UserError("radii 'auto' requires at least one pattern")
+            raise UserError(f"{path}: radii 'auto' requires at least one pattern")
         try:
             radii = family_covering_sequence(patterns)
         except ValueError as exc:  # disconnected, oversized or all single-node
-            raise UserError(f"radii 'auto': {exc}") from exc
+            raise UserError(f"{path}: radii 'auto': {exc}") from exc
     elif isinstance(spec["radii"], list) and all(
         _is_count(r) for r in spec["radii"]
     ) and spec["radii"]:
         radii = tuple(spec["radii"])
     else:
-        raise UserError("radii must be 'auto' or a nonempty list of nonnegative integers")
-    return spec, PatternCensus(patterns, mode), radii
+        raise UserError(f"{path}: radii must be 'auto' or a nonempty list of nonnegative integers")
+    try:
+        return spec, PatternCensus(patterns, mode), radii
+    except UnsupportedSizeError as exc:  # a pattern over MAX_PATTERN_NODES
+        raise UserError(f"{path}: {exc}") from exc
 
 
 def _draw_trials(spec: dict) -> Iterator[tuple[int, Graph]]:
@@ -354,6 +362,16 @@ def _node_invariants(g: Graph) -> tuple[tuple, ...]:
     splits most regular graphs where 1-WL is blind.  A key has one entry per
     node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
     return tuple(zip(g.attributes, layer_sizes(g.adjacency)))
+
+
+def _memo_test(adjacency: tuple[int, ...], known: tuple[int, ...],
+               target: tuple[int, ...], cells: dict[int, int]) -> bool:
+    """Whether the graph with rows ``target`` and invariant-id cell masks
+    ``cells`` is isomorphic to a class representative (rows ``adjacency``,
+    ids ``known``) with an equal bucket key.  The class is planned at its
+    first test; the equal key already makes the colour-multiset check."""
+    _, back, keys = _search_plan(adjacency, known)
+    return bool(_search(back, [cells[x] for x in keys], target, True, True))
 
 
 class TrialRecord(NamedTuple):
@@ -402,8 +420,9 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
         invariants = tuple(invariant_ids.setdefault(x, len(invariant_ids))
                            for x in _node_invariants(graph))
         bucket = classes.setdefault(tuple(sorted(invariants)), [])
+        cells = _cell_masks(invariants) if bucket else None
         for tests_failed, (adjacency, known, columns) in enumerate(bucket):
-            if _embeddings(adjacency, known, graph.adjacency, invariants, True, first=True):
+            if _memo_test(adjacency, known, graph.adjacency, cells):
                 break
         else:
             tests_failed, columns = len(bucket), None

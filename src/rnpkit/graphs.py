@@ -240,10 +240,12 @@ def is_connected(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=1 << 12)
-def _search_plan(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _search_plan(
+    adj: tuple[int, ...], colors: tuple[Hashable, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[Hashable, ...]]:
     # A search order in which each node touches as many already-ordered
-    # nodes as possible, so the backtracking in _embeddings prunes early,
-    # and for each search position the earlier positions adjacent to it.
+    # nodes as possible, so the search prunes early; for each search
+    # position the earlier positions adjacent to it, and its colour.
     n = len(adj)
     remaining = set(range(n))
     order: list[int] = []
@@ -258,7 +260,51 @@ def _search_plan(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int
         order.append(best)
         placed |= 1 << best
         remaining.remove(best)
-    return tuple(order), tuple(back)
+    return tuple(order), tuple(back), tuple(colors[u] for u in order)
+
+
+def _cell_masks(colors: Iterable[Hashable]) -> dict:
+    """The mask of the nodes of each colour."""
+    cells: dict = {}
+    for w, color in enumerate(colors):
+        cells[color] = cells.get(color, 0) | 1 << w
+    return cells
+
+
+def _search(back: Sequence[tuple[int, ...]], masks: Sequence[int],
+            adj_t: Sequence[int], induced: bool, first: bool) -> int:
+    """Maps of a planned pattern into t: search position i goes to an
+    unused node of ``masks[i]`` adjacent to the images of ``back[i]`` (and,
+    induced, to no other image).  Its candidates are the row of the image
+    of its first earlier neighbour, or the whole mask if it has none."""
+    k = len(back)
+    image = [0] * k  # image[i]: the node search position i is mapped to
+    total = 0
+
+    def backtrack(i: int, used: int) -> bool:  # True: stop
+        nonlocal total
+        if i == k:
+            total += 1
+            return first
+        need = 0
+        for x in back[i]:
+            need |= 1 << image[x]
+        candidates = masks[i] & ~used
+        if need:
+            candidates &= adj_t[image[back[i][0]]]
+        mask = used if induced else need
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            w = bit.bit_length() - 1
+            if adj_t[w] & mask == need:
+                image[i] = w
+                if backtrack(i + 1, used | bit):
+                    return True
+        return False
+
+    backtrack(0, 0)
+    return total
 
 
 def _embeddings(
@@ -273,51 +319,24 @@ def _embeddings(
 
     Induced mode counts isomorphisms (every node pair keeps its edge
     state); otherwise every p-edge lands on a t-edge (monomorphisms).
-    ``first`` stops at the first map.  Colours are any comparable values.
-    p is planned once per adj_p, and the plan cached: a search order and,
-    per search position, the earlier positions adjacent to it, whose
-    images a candidate must be adjacent to.  Pass the recurring graph first.
+    ``first`` stops at the first map.  Colours are any hashable values.
+    p is planned once per (adj_p, colours), and the plan cached; t's nodes
+    are grouped into (colour, degree) cells, which a pattern node's image
+    must lie in (non-induced: any cell of its colour and at least its
+    degree).  Pass the recurring graph first.
     """
-    k = len(adj_p)
-    keys_p = list(zip(colors_p, map(int.bit_count, adj_p)))  # (colour, degree)
+    keys_p = tuple(zip(colors_p, map(int.bit_count, adj_p)))  # (colour, degree)
     keys_t = list(zip(colors_t, map(int.bit_count, adj_t)))
     if induced and sorted(keys_p) != sorted(keys_t):
         return 0
-    order, back = _search_plan(adj_p)
-    cells: dict = {}
-    for w, key in enumerate(keys_t):
-        cells.setdefault(key, []).append(w)
+    _, back, keys = _search_plan(adj_p, keys_p)
+    cells = _cell_masks(keys_t)
     if induced:
-        candidates = [cells[keys_p[u]] for u in order]
+        masks = [cells[key] for key in keys]
     else:
-        candidates = [
-            [w for (color, degree), cell in cells.items()
-             if color == keys_p[u][0] and degree >= keys_p[u][1] for w in cell]
-            for u in order
-        ]
-    image = [0] * k  # image[i]: the bit of the node search position i is mapped to
-    total = 0
-
-    def backtrack(i: int, used: int) -> bool:  # True: stop
-        nonlocal total
-        if i == k:
-            total += 1
-            return first
-        need = 0
-        for x in back[i]:
-            need |= image[x]
-        mask = used if induced else need
-        for w in candidates[i]:
-            bit = 1 << w
-            if used & bit or adj_t[w] & mask != need:
-                continue
-            image[i] = bit
-            if backtrack(i + 1, used | bit):
-                return True
-        return False
-
-    backtrack(0, 0)
-    return total
+        masks = [sum(cell for (c, d), cell in cells.items() if c == color and d >= degree)
+                 for color, degree in keys]
+    return _search(back, masks, adj_t, induced, first)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -158,12 +158,14 @@ def graph_strategy(
 
 @st.composite
 def wide_sparse_graph_strategy(
-    draw, min_nodes: int = 65, max_nodes: int = 90, max_attribute: int = 12
+    draw, min_nodes: int = 65, max_nodes: int = 90, max_attribute: int = 12,
+    min_pairs: int = 0,
 ):
-    """Hosts over 64 nodes with at most as many edges as nodes."""
+    """Hosts over 64 nodes with at most as many edges as nodes, drawn as at
+    least ``min_pairs`` node pairs (loops and repeats are dropped)."""
     n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     node = st.integers(min_value=0, max_value=n - 1)
-    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    pairs = draw(st.lists(st.tuples(node, node), min_size=min_pairs, max_size=n))
     attrs = draw(st.lists(
         st.integers(min_value=0, max_value=max_attribute), min_size=n, max_size=n))
     return Graph.from_edges(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]}, attrs)
@@ -187,6 +189,70 @@ def reference_embeddings(p: Graph, t: Graph, induced: bool) -> int:
             for u, v in pairs
         ):
             total += 1
+    return total
+
+
+def cell_scan_embeddings(adj_p, colors_p, adj_t, colors_t, induced: bool,
+                         first: bool = False) -> int:
+    """Matcher oracle for big hosts: the package's matcher as it was before
+    its candidate masks.  It shares no code with ``graphs._embeddings``.
+
+    It orders p's nodes by placed neighbours, then degree, and scans the
+    whole (colour, degree) cell of t for every pattern node (non-induced:
+    every cell of the colour with at least the degree), checking each
+    candidate's edges to the images placed so far.
+    """
+    k = len(adj_p)
+    keys_p = list(zip(colors_p, map(int.bit_count, adj_p)))
+    keys_t = list(zip(colors_t, map(int.bit_count, adj_t)))
+    if induced and sorted(keys_p) != sorted(keys_t):
+        return 0
+    remaining = set(range(k))
+    order: list[int] = []
+    back: list[tuple[int, ...]] = []
+    placed = 0
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda u: ((adj_p[u] & placed).bit_count(), adj_p[u].bit_count(), -u),
+        )
+        back.append(tuple(i for i, x in enumerate(order) if adj_p[best] >> x & 1))
+        order.append(best)
+        placed |= 1 << best
+        remaining.remove(best)
+    cells: dict = {}
+    for w, key in enumerate(keys_t):
+        cells.setdefault(key, []).append(w)
+    if induced:
+        candidates = [cells[keys_p[u]] for u in order]
+    else:
+        candidates = [
+            [w for (color, degree), cell in cells.items()
+             if color == keys_p[u][0] and degree >= keys_p[u][1] for w in cell]
+            for u in order
+        ]
+    image = [0] * k  # image[i]: the bit of the node search position i is mapped to
+    total = 0
+
+    def backtrack(i: int, used: int) -> bool:  # True: stop
+        nonlocal total
+        if i == k:
+            total += 1
+            return first
+        need = 0
+        for x in back[i]:
+            need |= image[x]
+        mask = used if induced else need
+        for w in candidates[i]:
+            bit = 1 << w
+            if used & bit or adj_t[w] & mask != need:
+                continue
+            image[i] = bit
+            if backtrack(i + 1, used | bit):
+                return True
+        return False
+
+    backtrack(0, 0)
     return total
 
 

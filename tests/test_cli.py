@@ -710,6 +710,16 @@ class TestExperiment:
         # Every class's encoding is new, so no miss re-derives one.
         assert derived == []
 
+    def test_stream_regular_outcome_over_two_thousand_trials(self):
+        # The benchmark's stream at seed 11: hits, failed exact tests and
+        # misses.  Patterns do not enter the memo, so none are counted.
+        seeds = range(11_000_000, 11_002_000)
+        trials = [(s, random_regular_perturbed(10, 3, 1, s)) for s in seeds]
+        records = experiment_records(trials, [], (1, 1))
+        outcome = (sum(r.hit for r in records), sum(r.tests_failed for r in records),
+                   sum(not r.hit for r in records))
+        assert outcome == (1907, 535, 93)
+
     def test_equal_encodings_are_rederived_once_per_miss(self, monkeypatch):
         # Radius 1 sees every cycle as the same: the 16 cycle classes of
         # these 20 trials share one encoding.  A run keeps that encoding's
@@ -826,10 +836,11 @@ class TestMemoKey:
             return tuple(sorted(cli._node_invariants(x)))
 
         def hit(x, y):
-            return bool(cli._embeddings(
-                x.adjacency, cli._node_invariants(x), y.adjacency, cli._node_invariants(y),
-                True, first=True,
-            ))
+            # The memo tests a graph only against classes in its bucket.
+            return key(x) == key(y) and cli._memo_test(
+                x.adjacency, cli._node_invariants(x), y.adjacency,
+                cli._cell_masks(cli._node_invariants(y)),
+            )
 
         copy = permuted(g, shuffled(n, seed))
         assert key(copy) == key(g)
@@ -929,6 +940,23 @@ class TestExperimentValidation:
         big = write_graph(tmp_path, "k9.txt", complete(9))
         code, text = run(["experiment", experiment_spec(tmp_path, patterns=[big], radii=[1])])
         assert (code, text) == (2, "")
+
+    @pytest.mark.parametrize("case", ["radii x", "radii []", "auto without patterns",
+                                      "auto on one node", "missing pattern", "oversized"])
+    def test_radii_and_pattern_errors_name_the_spec(self, tmp_path, capsys, case):
+        k1 = write_graph(tmp_path, "k1.txt", complete(1))
+        k9 = write_graph(tmp_path, "k9.txt", complete(9))
+        overrides = {
+            "radii x": {"radii": "x"},
+            "radii []": {"radii": []},
+            "auto without patterns": {"patterns": [], "radii": "auto"},
+            "auto on one node": {"patterns": [k1], "radii": "auto"},
+            "missing pattern": {"patterns": [str(tmp_path / "missing.txt")]},
+            "oversized": {"patterns": [k9], "radii": [1]},
+        }[case]
+        spec = experiment_spec(tmp_path, **overrides)
+        assert run(["experiment", spec]) == (2, "")
+        assert f"error: {spec}: " in capsys.readouterr().err
 
     def test_auto_radii_from_single_node_patterns_rejected_before_output(self, tmp_path):
         k1 = write_graph(tmp_path, "k1.txt", complete(1))

@@ -23,13 +23,14 @@ from rnpkit import (
     two_triangles,
     update_bound,
 )
-from rnpkit import covering, encoder
+from rnpkit import covering, encoder, erdos_renyi
 from rnpkit.graphs import _embeddings, _search_plan, bfs_layers, bits_of, layer_sizes
 
 from conftest import (
     all_graphs,
     all_pairs_shortest_paths,
     canonical_code,
+    cell_scan_embeddings,
     disjoint_union,
     graph_strategy,
     induced_subgraph,
@@ -329,12 +330,43 @@ def _matcher_pairs(draw):
     return p, t
 
 
+@st.composite
+def _wide_matcher_pairs(draw):
+    """(p, t): t a host of 65-90 nodes with 0-1 attributes, drawn from at
+    least 45 node pairs; p at most 4 nodes: any graph without isolated
+    nodes (or a single node), a connected piece of t, or two pieces of at
+    most 2 nodes each, so that p is sometimes disconnected and maps often
+    exist.  A p with more isolated nodes would have about n**k maps, too
+    many to count."""
+    t = draw(wide_sparse_graph_strategy(max_attribute=1, min_pairs=45))
+    kind = draw(st.sampled_from(["any", "piece", "two pieces"]))
+    if kind == "any":
+        p = draw(graph_strategy(min_nodes=1, max_nodes=4, attributed=True, max_attribute=1)
+                 .filter(lambda p: p.node_count == 1 or all(p.adjacency)))
+        return p, t
+    # Pieces start at a node with neighbours, where there is one.
+    starts = [v for v, row in enumerate(t.adjacency) if row] or range(t.node_count)
+
+    def piece(sizes):
+        members = {draw(st.sampled_from(starts))}
+        for _ in range(draw(st.sampled_from(sizes)) - 1):
+            reach = sum(t.adjacency[v] for v in members) & ~sum(1 << v for v in members)
+            if reach:
+                members.add(draw(st.sampled_from(bits_of(reach))))
+        return induced_subgraph(t, members)[0]
+
+    if kind == "piece":
+        return piece([4, 3, 2, 1]), t
+    return disjoint_union(piece([2, 1]), piece([2, 1])), t
+
+
 class TestMatcher:
     @settings(max_examples=200, deadline=None)
-    @given(graph_strategy(max_nodes=8))
+    @given(graph_strategy(max_nodes=8, attributed=True))
     def test_plan_back_positions_are_earlier_neighbours(self, g):
-        order, back = _search_plan(g.adjacency)
+        order, back, keys = _search_plan(g.adjacency, g.attributes)
         assert sorted(order) == list(range(g.node_count))
+        assert keys == tuple(g.attributes[u] for u in order)
         for j, u in enumerate(order):
             assert back[j] == tuple(i for i in range(j) if g.has_edge(order[i], u))
 
@@ -351,6 +383,30 @@ class TestMatcher:
             args = (p.adjacency, p.attributes, t.adjacency, t.attributes, induced)
             assert _embeddings(*args) == expected
             assert _embeddings(*args, first=True) == min(expected, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_matcher_pairs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_big_hosts_match_the_cell_scan(self, graphs, seed):
+        # Candidates from a placed neighbour's row, against the whole-cell
+        # scan.  Induced mode maps onto all of t, so p's maps are 0 there and
+        # a relabelled copy of t maps onto t.
+        p, t = graphs
+        copy = permuted(t, seeded_permutation(t.node_count, seed))
+        for pattern_graph, induced in ((p, False), (p, True), (copy, True)):
+            args = (pattern_graph.adjacency, pattern_graph.attributes,
+                    t.adjacency, t.attributes, induced)
+            if pattern_graph is not copy:  # a copy of t can have n! maps
+                assert _embeddings(*args) == cell_scan_embeddings(*args)
+            assert _embeddings(*args, first=True) == cell_scan_embeddings(*args, first=True)
+        assert _embeddings(copy.adjacency, copy.attributes, t.adjacency, t.attributes,
+                           True, first=True) == 1
+
+    def test_four_cycles_on_a_sparse_thousand_node_host(self):
+        g = erdos_renyi(1000, 3 / 999, 7)
+        c4 = cycle(4)
+        args = (c4.adjacency, c4.attributes, g.adjacency, g.attributes, False)
+        assert _embeddings(*args) == 128
+        assert _embeddings(*args, first=True) == 1
 
 
 class TestCanonicalCode:
