@@ -244,9 +244,14 @@ def _search_plan(
     adj: tuple[int, ...], colors: tuple[Hashable, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[Hashable, ...]]:
     # A search order in which each node touches as many already-ordered
-    # nodes as possible, so the search prunes early; for each search
-    # position the earlier positions adjacent to it, and its colour.
+    # nodes as possible, so the search prunes early; on ties, a node next
+    # to an ordered node of low degree comes first, since that image's
+    # short row leaves few candidates and a wrong image fails before the
+    # leaves of high-degree nodes are permuted.  For each search position
+    # the earlier positions adjacent to it, and its colour.
     n = len(adj)
+    degree = [row.bit_count() for row in adj]
+    least = [n] * n  # the least degree of a node's ordered neighbours
     remaining = set(range(n))
     order: list[int] = []
     back: list[tuple[int, ...]] = []
@@ -254,12 +259,14 @@ def _search_plan(
     while remaining:
         best = max(
             remaining,
-            key=lambda u: ((adj[u] & placed).bit_count(), adj[u].bit_count(), -u),
+            key=lambda u: ((adj[u] & placed).bit_count(), -least[u], degree[u], -u),
         )
         back.append(tuple(i for i, x in enumerate(order) if adj[best] >> x & 1))
         order.append(best)
         placed |= 1 << best
         remaining.remove(best)
+        for v in bits_of(adj[best] & ~placed):
+            least[v] = min(least[v], degree[best])
     return tuple(order), tuple(back), tuple(colors[u] for u in order)
 
 

@@ -350,7 +350,10 @@ def _wide_matcher_pairs(draw):
     def piece(sizes):
         members = {draw(st.sampled_from(starts))}
         for _ in range(draw(st.sampled_from(sizes)) - 1):
-            reach = sum(t.adjacency[v] for v in members) & ~sum(1 << v for v in members)
+            reach = 0  # the nodes next to the piece: an OR, as rows share bits
+            for v in members:
+                reach |= t.adjacency[v]
+            reach &= ~sum(1 << v for v in members)
             if reach:
                 members.add(draw(st.sampled_from(bits_of(reach))))
         return induced_subgraph(t, members)[0]
@@ -389,15 +392,15 @@ class TestMatcher:
     def test_big_hosts_match_the_cell_scan(self, graphs, seed):
         # Candidates from a placed neighbour's row, against the whole-cell
         # scan.  Induced mode maps onto all of t, so p's maps are 0 there and
-        # a relabelled copy of t maps onto t.
+        # a relabelled copy of t maps onto t.  The copy is not run through
+        # the cell scan: its answer is known, and on hosts with a hub of
+        # interchangeable leaves the cell scan permutes them for minutes.
         p, t = graphs
-        copy = permuted(t, seeded_permutation(t.node_count, seed))
-        for pattern_graph, induced in ((p, False), (p, True), (copy, True)):
-            args = (pattern_graph.adjacency, pattern_graph.attributes,
-                    t.adjacency, t.attributes, induced)
-            if pattern_graph is not copy:  # a copy of t can have n! maps
-                assert _embeddings(*args) == cell_scan_embeddings(*args)
+        for induced in (False, True):
+            args = (p.adjacency, p.attributes, t.adjacency, t.attributes, induced)
+            assert _embeddings(*args) == cell_scan_embeddings(*args)
             assert _embeddings(*args, first=True) == cell_scan_embeddings(*args, first=True)
+        copy = permuted(t, seeded_permutation(t.node_count, seed))
         assert _embeddings(copy.adjacency, copy.attributes, t.adjacency, t.attributes,
                            True, first=True) == 1
 
