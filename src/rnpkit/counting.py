@@ -96,12 +96,13 @@ def count_noninduced(g: Graph, h: Graph) -> int:
 
 def _connected_census(
     g: Graph, sizes: Iterable[int]
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+) -> dict[tuple[int, tuple[int, ...]], int]:
     """Tally of g's connected induced subgraphs of the given sizes (each
     at least 1), keyed by the labelled subgraph with its nodes in the order
-    ESU adds them: (back-masks, attrs), where the back-mask of position i
-    holds the earlier positions adjacent to it (``_key_rows`` turns it back
-    into adjacency rows).  A key's length is its size.
+    ESU adds them: (back-masks, attrs).  The back-mask of position i holds
+    the earlier positions adjacent to it, and sits at bit offset i(i-1)/2
+    of one int (``_key_rows`` turns it back into adjacency rows).  A key's
+    size is the length of its attrs.
 
     ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
     each connected subset exactly once: a subset grows from its smallest
@@ -114,16 +115,17 @@ def _connected_census(
     attributes = g.attributes
     sizes = set(sizes)
     deepest = max(sizes, default=0)
-    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    tally: dict[tuple[int, tuple[int, ...]], int] = {}
     position = [0] * g.node_count  # a subset node -> its bit in the back-masks
 
     def extend(extension: int, closed: int, above: int, members: int,
-               back: tuple[int, ...], attrs: tuple[int, ...]) -> None:
+               back: int, attrs: tuple[int, ...]) -> None:
         # closed: the subset and all its neighbours
-        size = len(back) + 1  # of each subset made here
-        counted = size in sizes
-        last = size == deepest
-        bit = 1 << len(back)
+        i = len(attrs)  # the position of each node added here
+        counted = i + 1 in sizes
+        last = i + 1 == deepest
+        bit = 1 << i
+        offset = i * (i - 1) // 2
         while extension:
             low = extension & -extension
             extension ^= low
@@ -137,7 +139,7 @@ def _connected_census(
                 low_u = adjacent & -adjacent
                 mask |= position[low_u.bit_length() - 1]
                 adjacent ^= low_u
-            key = (back + (mask,), attrs + (attributes[w],))
+            key = (back | mask << offset, attrs + (attributes[w],))
             if counted:
                 tally[key] = tally.get(key, 0) + 1
             if not last:
@@ -146,7 +148,7 @@ def _connected_census(
                        members | low, *key)
 
     for v in range(g.node_count):
-        root = ((0,), (attributes[v],))
+        root = (0, (attributes[v],))
         if 1 in sizes:
             tally[root] = tally.get(root, 0) + 1
         if deepest > 1:
@@ -156,10 +158,12 @@ def _connected_census(
     return tally
 
 
-def _key_rows(back: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjacency rows of the labelled graph whose back-masks are ``back``."""
-    rows = list(back)
-    for j, mask in enumerate(back):
+def _key_rows(back: int, size: int) -> tuple[int, ...]:
+    """Adjacency rows of the labelled graph on ``size`` nodes whose packed
+    back-masks are ``back``."""
+    rows = [0] * size
+    for j in range(1, size):
+        mask = rows[j] = (back >> j * (j - 1) // 2) & ((1 << j) - 1)
         for i in bits_of(mask):
             rows[i] |= 1 << j
     return tuple(rows)
@@ -200,7 +204,7 @@ class PatternCensus:
             else:
                 self._oracle.append(i)
         # census key (back-masks, attrs) -> one term per pattern of its size
-        self._terms: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+        self._terms: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
     def counts(self, g: Graph) -> tuple[int, ...]:
         """One count per pattern, equal to count_induced / count_noninduced."""
@@ -208,10 +212,11 @@ class PatternCensus:
             _check_host_size(g)
         counts = [0] * len(self._patterns)
         for key, seen in _connected_census(g, self._by_size).items():
-            members = self._by_size[len(key[0])]
+            back, attrs = key
+            members = self._by_size[len(attrs)]
             terms = self._terms.get(key)
             if terms is None:
-                subgraph = (_key_rows(key[0]), key[1])
+                subgraph = (_key_rows(back, len(attrs)), attrs)
                 terms = self._terms[key] = tuple(self._term(i, subgraph) for i in members)
             for i, term in zip(members, terms):
                 counts[i] += seen * term

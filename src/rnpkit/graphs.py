@@ -12,7 +12,6 @@ hashable; every function in this module is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
@@ -70,34 +69,70 @@ def component_mask(adjacency: tuple[int, ...], within: int, v: int) -> int:
     return sum(bfs_layers(adjacency, within, v))
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with one nonnegative integer attribute per node."""
+    """Simple undirected graph with one nonnegative integer attribute per node.
+
+    An immutable value: equal and equally hashed when its three fields are
+    equal.  A plain class, not a dataclass: importing ``dataclasses`` also
+    imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, which every
+    command would pay for at start-up.
+    """
+
+    __slots__ = ("node_count", "adjacency", "attributes")
 
     node_count: int
     adjacency: tuple[int, ...]
     attributes: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.node_count
+    def __init__(self, node_count: int, adjacency: tuple[int, ...],
+                 attributes: tuple[int, ...]):
+        set_field = object.__setattr__
+        set_field(self, "node_count", node_count)
+        set_field(self, "adjacency", adjacency)
+        set_field(self, "attributes", attributes)
+        n = node_count
         if n < 0:
             raise ValueError("node_count must be nonnegative")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise ValueError("adjacency must have one row per node")
-        if len(self.attributes) != n:
+        if len(attributes) != n:
             raise ValueError("attributes must have one entry per node")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references nodes out of range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at node {v}")
             for u in bits_of(row):
-                if not (self.adjacency[u] >> v) & 1:
+                if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
-        for v, x in enumerate(self.attributes):
+        for v, x in enumerate(attributes):
             if x < 0:
                 raise ValueError(f"negative attribute at node {v}")
+
+    def _key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        return self.node_count, self.adjacency, self.attributes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Graph(node_count={self.node_count!r}, adjacency={self.adjacency!r}, "
+                f"attributes={self.attributes!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Graph, self._key()
 
     @staticmethod
     def from_edges(
@@ -283,35 +318,53 @@ def _search(back: Sequence[tuple[int, ...]], masks: Sequence[int],
     """Maps of a planned pattern into t: search position i goes to an
     unused node of ``masks[i]`` adjacent to the images of ``back[i]`` (and,
     induced, to no other image).  Its candidates are the row of the image
-    of its first earlier neighbour, or the whole mask if it has none."""
-    k = len(back)
-    image = [0] * k  # image[i]: the node search position i is mapped to
-    total = 0
+    of its first earlier neighbour, or the whole mask if it has none.
 
-    def backtrack(i: int, used: int) -> bool:  # True: stop
-        nonlocal total
-        if i == k:
+    The search backtracks over a stack of each position's untried
+    candidates, not over Python frames, so a pattern of any size fits.
+    """
+    k = len(back)
+    if not k:
+        return 1
+    image = [0] * k  # image[i]: the node search position i is mapped to
+    # Below the current position i, each position's untried candidates and
+    # the images of its back, as masks.
+    stack_left = [0] * k
+    stack_need = [0] * k
+    total = 0
+    i = used = need = 0  # used: the images of the positions below i
+    left = masks[0]
+    while True:
+        while left:
+            bit = left & -left
+            left ^= bit
+            w = bit.bit_length() - 1
+            if adj_t[w] & (used if induced else need) == need:
+                break
+        else:
+            if not i:
+                return total
+            i -= 1
+            left = stack_left[i]
+            need = stack_need[i]
+            used ^= 1 << image[i]
+            continue
+        if i + 1 == k:
             total += 1
-            return first
+            if first:
+                return total
+            continue
+        stack_left[i] = left
+        stack_need[i] = need
+        image[i] = w
+        used |= bit
+        i += 1
         need = 0
         for x in back[i]:
             need |= 1 << image[x]
-        candidates = masks[i] & ~used
+        left = masks[i] & ~used
         if need:
-            candidates &= adj_t[image[back[i][0]]]
-        mask = used if induced else need
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            w = bit.bit_length() - 1
-            if adj_t[w] & mask == need:
-                image[i] = w
-                if backtrack(i + 1, used | bit):
-                    return True
-        return False
-
-    backtrack(0, 0)
-    return total
+            left &= adj_t[image[back[i][0]]]
 
 
 def _embeddings(

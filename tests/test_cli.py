@@ -1067,6 +1067,16 @@ class TestBrokenPipe:
         assert capsys.readouterr().err == ""
 
 
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses(self):
+        # dataclasses brings inspect, ast, dis and tokenize: start-up time
+        # that every command would pay.
+        code = "import sys, rnpkit.cli; print('dataclasses' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                env=cli_env("0"), text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
+
 class TestSubprocessDeterminism:
     def test_gen_bytes_identical_across_processes(self):
         cmd = [sys.executable, "-m", "rnpkit.cli", "gen", "er",

@@ -351,27 +351,29 @@ class TestPatternCensus:
         for seed in range(6):
             g = seeded_graph(9, 0.3, 400 + seed)
             census = _connected_census(g, range(1, 6))
-            assert {len(back) for back, _ in census} <= set(range(1, 6))
+            assert {len(attrs) for _, attrs in census} <= set(range(1, 6))
             for k in range(1, 6):
                 connected = [
                     sub for sub in (induced_subgraph(g, s)[0] for s in combinations(range(9), k))
                     if is_connected(sub)
                 ]
-                tally = {key: seen for key, seen in census.items() if len(key[0]) == k}
+                tally = {key: seen for key, seen in census.items() if len(key[1]) == k}
                 assert _connected_census(g, [k]) == tally
                 assert sum(tally.values()) == len(connected)
                 # every class at once, by canonical code rather than the matcher
                 by_code = Counter()
                 for (back, attrs), seen in tally.items():
-                    by_code[canonical_code(Graph(k, _key_rows(back), attrs))] += seen
+                    by_code[canonical_code(Graph(k, _key_rows(back, k), attrs))] += seen
                 assert by_code == Counter(canonical_code(sub) for sub in connected)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_strategy(max_nodes=5, attributed=True))
     def test_back_masks_round_trip(self, g):
         # a census key (back-masks, attrs) names exactly one labelled graph
-        back = tuple(row & ((1 << i) - 1) for i, row in enumerate(g.adjacency))
-        assert Graph(g.node_count, _key_rows(back), g.attributes) == g
+        back = sum(
+            (row & ((1 << i) - 1)) << i * (i - 1) // 2 for i, row in enumerate(g.adjacency)
+        )
+        assert Graph(g.node_count, _key_rows(back, g.node_count), g.attributes) == g
 
     @pytest.mark.parametrize("mode, digest", [
         ("induced", "4f438657cab0f3bcbcb635040bda60bf7f983752281b950b51048fcb3be60ea6"),

@@ -171,6 +171,17 @@ class TestUpdateCounting:
         assert rnp_encode_nodes(empty, (2, 1)) == ({}, UpdateCounter(0, (0, 0), (0, 0)))
         assert update_bound(empty, (2, 1)) == 0
 
+    def test_counter_is_an_immutable_value(self):
+        counter = UpdateCounter(5, (3, 2), (3, 2))
+        assert counter == UpdateCounter(5, (3, 2), (3, 2))
+        assert hash(counter) == hash(UpdateCounter(5, (3, 2), (3, 2)))
+        assert repr(counter) == (
+            "UpdateCounter(invocations=5, max_context_per_level=(3, 2), "
+            "invocations_per_level=(3, 2))"
+        )
+        with pytest.raises(AttributeError):
+            counter.invocations = 6
+
     def test_k4_bound_value(self):
         assert update_bound(complete(4), (1, 1)) == 64
 
@@ -264,10 +275,11 @@ def reference_counter(contexts, levels):
     )
 
 
-# Radius-0 levels, last radii of 2 or more, and up to four levels.
+# Radius-0 levels, last radii of 2 or more, and up to four levels; a radius
+# of 3 below the top, and a last radius of 2 or more after one of 2 or more.
 REFERENCE_RADII = RADII_POOL + [
     (0,), (3,), (0, 1), (1, 0), (1, 3), (2, 0, 2), (3, 2, 1), (2, 2, 2, 1), (1, 2, 0, 2),
-    (2, 2, 1, 2),
+    (2, 2, 1, 2), (1, 3, 1), (2, 3, 2),
 ]
 
 
@@ -490,7 +502,7 @@ class TestAgainstReference:
                 digest.update(encodings[v])
             digest.update(repr(counter).encode())
         assert digest.hexdigest() == (
-            "7644ec89dde915423ab50ed1220717488b93eab2865d63ea9b494cda85af766e"
+            "41a338c9a0c6de8a6f8b04d64d4adfd94d56beb468e73e581fa8768add4b8c2d"
         )
 
 

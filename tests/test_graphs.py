@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 from unittest import mock
 
@@ -74,6 +75,23 @@ class TestGraphConstruction:
         # Rows given directly, which from_edges never builds.
         with pytest.raises(ValueError, match=message):
             Graph(*args)
+
+    def test_graphs_are_immutable_values(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], [0, 2, 0])
+        same = Graph(3, (2, 5, 2), (0, 2, 0))
+        assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+        assert g != Graph(3, (2, 5, 2), (0, 0, 0))
+        assert g != (3, (2, 5, 2), (0, 2, 0))
+        assert repr(g) == "Graph(node_count=3, adjacency=(2, 5, 2), attributes=(0, 2, 0))"
+        for change in (
+            lambda: setattr(g, "node_count", 4),
+            lambda: delattr(g, "adjacency"),
+            lambda: setattr(g, "label", "x"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert g == same
+        assert pickle.loads(pickle.dumps(g)) == g
 
     def test_edges_and_degrees(self):
         g = cycle(6)
@@ -298,6 +316,13 @@ class TestIsomorphism:
         c = Graph.from_edges(2, [(0, 1)], [1, 0])
         assert not are_isomorphic(a, b)
         assert are_isomorphic(a, c)
+
+    def test_large_sparse_host_against_itself_and_a_relabelled_copy(self):
+        # 1,500 search positions, more than Python's default recursion limit.
+        g = erdos_renyi(1500, 3 / 1499, 7)
+        h = permuted(g, seeded_permutation(1500, 3))
+        assert are_isomorphic(g, g)
+        assert are_isomorphic(g, h)
 
     def test_equivalence_relation_on_corpus(self):
         corpus = [g for g in all_graphs(4)]
