@@ -22,7 +22,8 @@ keys below, or else one that looks up each member's value and that value
 marked as a near and, when the last radius is above 1, a far child.  A
 leaf context names a far member by its index plus n, so one table lookup
 picks each member's variant, and the routine encodes its members with no
-further recursion.
+further recursion.  The routine builds values only: each parent adds its
+leaf level's size sum and size maximum to the counter once.
 
 A radius-1 leaf's children are its neighbours in the leaf context, each
 marked near.  When the leaf members' values form m <= 4 classes
@@ -32,10 +33,11 @@ repeated c_i times for each i, then ``]``, where c_i is the member's
 number of neighbours of class i (one popcount over a class mask).  The
 leaf gives it as an integer key instead: with b = n.bit_length() and
 M = 2**b - 1, the rank of f above four b-bit fields M - c_1, ...,
-M - c_4 (c_i = 0 past m).  Heads sort as their f do, values are
-prefix-free, and ``]`` sorts above every mark's ``M``, so a value with
-more copies of a smaller mark sorts first: ascending keys are ascending
-values, and equal keys are equal values.  The parent sorts its leaves'
+M - c_4 (c_i = 0 past m); each member's key with every count 0 sits in
+a flat list indexed by its (doubled) index.  Heads sort as their f do,
+values are prefix-free, and ``]`` sorts above every mark's ``M``, so a
+value with more copies of a smaller mark sorts first: ascending keys are
+ascending values, and equal keys are equal values.  The parent sorts its leaves'
 keys and joins their bytes from a table per (b, classes) that lives for
 the process, since graphs share most leaf values; the tables hold at
 most ``_LEAF_TABLE_CAP`` entries together and are cleared when they
@@ -115,10 +117,12 @@ class _Stats:
         self.level_invocations = [0] * levels
         self.level_max = [0] * levels
 
-    def enter_context(self, depth: int, size: int) -> None:
-        self.level_invocations[depth] += size
-        if size > self.level_max[depth]:
-            self.level_max[depth] = size
+    def add(self, depth: int, total: int, largest: int) -> None:
+        """Count contexts at ``depth`` of ``total`` members together, the
+        largest of ``largest``."""
+        self.level_invocations[depth] += total
+        if largest > self.level_max[depth]:
+            self.level_max[depth] = largest
 
 
 class _BitTable(dict):
@@ -175,19 +179,23 @@ class _LeafTable(dict):
 
 def _leaf_keys(
     classes: dict[Encoding, int], n: int
-) -> tuple[dict[int, int], int, int, int, int, int, int, int, _LeafTable]:
+) -> tuple[list[int], int, int, int, int, int, int, int, _LeafTable]:
     """What radius-1 leaves in an n-node graph build their keys from, given
     their members' at most four values as classes: each member's key with
-    every count 0, the four class masks (0 past m), the field shifts b, 2b
-    and 3b, and the table; see the module docstring."""
+    every count 0, in a list indexed by (doubled) member, the four class
+    masks (0 past m), the field shifts b, 2b and 3b, and the table; see the
+    module docstring."""
     width = n.bit_length()
     order = tuple(sorted(classes))
-    masks = [classes[f] for f in order] + [0] * (4 - len(order))
+    masks = [classes[f] for f in order]
     top = 1 << 4 * width
-    base: dict[int, int] = {}
-    for rank, f in enumerate(order):
-        # The class rank above four count fields at their top M.
-        base.update(dict.fromkeys(bits_of(classes[f]), (rank + 1) * top - 1))
+    base = [0] * sum(masks).bit_length()  # the classes are disjoint
+    key = top - 1  # each class's rank above four count fields at their top M
+    for k in masks:
+        for u in bits_of(k):
+            base[u] = key
+        key += top
+    masks += [0] * (4 - len(order))
     table = _leaf_tables.get((width, order))
     if table is None:
         _count_leaf_table_entry()
@@ -199,12 +207,11 @@ def _leaf_level(
     adjacency: tuple[int, ...],
     classes: dict[Encoding, int],
     r: int,
-    depth: int,
-    stats: _Stats,
     bits: _BitTable,
 ) -> tuple[Callable[[int], list], Callable[[int], Encoding] | None]:
     """The routine that encodes a last-level context of radius r, member by
     member in ascending index order, given the members' values as classes.
+    It builds values only: its caller counts the contexts.
 
     When r == 1 and there are at most four classes it gives keys from
     ``_leaf_keys``, with the table's lookup from a key to its value; else
@@ -216,7 +223,6 @@ def _leaf_level(
 
         def leaves(ctx_mask: int) -> list[int]:
             # Leaf-context masks seldom repeat, so bits_of, not the table.
-            stats.enter_context(depth, ctx_mask.bit_count())
             keys = []
             for w in bits_of(ctx_mask):
                 a = adjacency[w] & ctx_mask
@@ -232,7 +238,6 @@ def _leaf_level(
     far_marks = {u: b"M0" + f for u, f in own.items()} if r > 1 else {}
 
     def leaves(ctx_mask: int) -> list[Encoding]:
-        stats.enter_context(depth, ctx_mask.bit_count())
         reach = ctx_mask if r else 0
         values = []
         for w in bits[ctx_mask]:
@@ -275,7 +280,8 @@ def _encode_context(
     ``classes`` maps each own value f to the mask of the members that have
     it; each result is ``node(f, children)``, written out inline.
     """
-    stats.enter_context(depth, ctx_mask.bit_count())
+    size = ctx_mask.bit_count()
+    stats.add(depth, size, size)
     r1 = radii[0]
     tail = radii[1:]
     n = len(adjacency) // 2
@@ -287,14 +293,13 @@ def _encode_context(
         leaf_classes = {m1: k for m1, _, k in flagged}
         if r1 > 1:
             leaf_classes.update({m0: k << n for _, m0, k in flagged})
-        leaves, lookup = _leaf_level(
-            adjacency, leaf_classes, tail[0], depth + 1, stats, bits
-        )
+        leaves, lookup = _leaf_level(adjacency, leaf_classes, tail[0], bits)
     # v's ball grows from its near set, one frontier per radius above 1,
     # each frontier's rows ORed and masked by the context outside the ball;
     # a radius-0 ball holds v alone.  The loop stays inline: a helper call
     # per context ran about 1.05x on both workloads' graphs.
     reach = ctx_mask if r1 else 0
+    total = largest = 0  # the leaf contexts' sizes, summed and at most
     out: dict[int, Encoding] = {}
     for f, k in classes.items():
         head = b"N" + f + b"["
@@ -313,6 +318,10 @@ def _encode_context(
                 left ^= frontier
             if leaves is not None:
                 children = leaves(near | far << n)
+                size = len(children)
+                total += size
+                if size > largest:
+                    largest = size
             else:
                 child_classes: dict[Encoding, int] = {}
                 for m1, m0, c in flagged:
@@ -329,6 +338,8 @@ def _encode_context(
             if lookup is not None:
                 children = map(lookup, children)
             out[v] = head + b"".join(children) + b"]"
+    if leaves is not None:
+        stats.add(depth + 1, total, largest)
     return out
 
 
@@ -352,7 +363,8 @@ def rnp_encode_nodes(
     full = (1 << n) - 1
     bits = _BitTable()
     if len(radii) == 1:
-        leaves, lookup = _leaf_level(adjacency, classes, radii[0], 0, stats, bits)
+        leaves, lookup = _leaf_level(adjacency, classes, radii[0], bits)
+        stats.add(0, n, n)
         values = leaves(full)
         if lookup is not None:
             values = map(lookup, values)

@@ -2,16 +2,18 @@
 
 Random families are driven exclusively by the pinned SplitMix64 stream
 (see ``rng``), so a (parameters, seed) pair yields the same graph on any
-platform, forever.  Where no draw can be rejected, the pairing model
-takes the shuffle's steps in pairs, checking each pair of stubs as the
-two steps that fix it are taken, and draws in blocks of at most
-``_DRAW_BLOCK`` values; otherwise it falls back to the plain shuffle.
-Either way its graphs and stream states are those of the
+platform, forever.  Erdos-Renyi draws come in chunks from ``next_block``
+and are compared with p as integers.  Where no draw can be rejected, the
+pairing model takes the shuffle's steps in pairs, checking each pair of
+stubs as the two steps that fix it are taken, and draws in blocks of at
+most ``_DRAW_BLOCK`` values; otherwise it falls back to the plain
+shuffle.  Either way its graphs and stream states are those of the
 shuffle-then-check definition.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
@@ -22,20 +24,30 @@ from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, SplitMix64, _unmix
 MAX_ENUMERATION_NODES = 6
 
 
+# draws per ``next_block`` call of ``erdos_renyi``
+_ER_CHUNK = 2048
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Each unordered pair becomes an edge independently with probability p.
 
-    Pairs are visited in lexicographic order, one uniform draw per pair.
+    Pairs are visited in lexicographic order, one uniform draw per pair:
+    the pair is an edge when ``rng.random() < p``.  The draws come in
+    chunks of at most ``_ER_CHUNK`` from ``next_block``, and a pair is
+    kept when its draw is below ``ceil(p * 2**53) << 11``: ``random()`` is
+    the draw's top 53 bits times 2**-53, so that is the same test.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = SplitMix64(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
+    threshold = math.ceil(p * 2**53) << 11
+    pairs = combinations(range(n), 2)
+    total = n * (n - 1) // 2
+    edges: list[tuple[int, int]] = []
+    for start in range(0, total, _ER_CHUNK):
+        draws = rng.next_block(min(_ER_CHUNK, total - start))
+        # draws first: zip stops at the chunk's end without taking a pair
+        edges += [e for x, e in zip(draws, pairs) if x < threshold]
     return Graph.from_edges(n, edges)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Sequence
 
 INFINITY = math.inf
@@ -284,24 +285,34 @@ def _search_plan(
     # short row leaves few candidates and a wrong image fails before the
     # leaves of high-degree nodes are permuted.  For each search position
     # the earlier positions adjacent to it, and its colour.
+    # The next node comes off a heap of (-ordered neighbours, least degree
+    # of an ordered neighbour, -degree, node).  Ordering a node pushes a
+    # new entry for each unordered neighbour, whose count it raises, so a
+    # node's one live entry is the one with its current count.
     n = len(adj)
     degree = [row.bit_count() for row in adj]
+    touched = [0] * n  # ordered neighbours
     least = [n] * n  # the least degree of a node's ordered neighbours
-    remaining = set(range(n))
+    position = [-1] * n
+    heap = [(0, n, -d, u) for u, d in enumerate(degree)]
+    heapify(heap)
     order: list[int] = []
     back: list[tuple[int, ...]] = []
-    placed = 0
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda u: ((adj[u] & placed).bit_count(), -least[u], degree[u], -u),
-        )
-        back.append(tuple(i for i, x in enumerate(order) if adj[best] >> x & 1))
+    while heap:
+        count, _, _, best = heappop(heap)
+        if -count != touched[best]:
+            continue  # stale, or its node already ordered
+        earlier = []
+        for v in bits_of(adj[best]):
+            if position[v] >= 0:
+                earlier.append(position[v])
+            else:
+                touched[v] += 1
+                least[v] = min(least[v], degree[best])
+                heappush(heap, (-touched[v], least[v], -degree[v], v))
+        position[best] = len(order)
+        back.append(tuple(sorted(earlier)))
         order.append(best)
-        placed |= 1 << best
-        remaining.remove(best)
-        for v in bits_of(adj[best] & ~placed):
-            least[v] = min(least[v], degree[best])
     return tuple(order), tuple(back), tuple(colors[u] for u in order)
 
 

@@ -58,7 +58,7 @@ def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     while True:
         rounds += 1
         keys = [
-            (colors[v], *sorted([colors[u] for u in nbrs]))
+            (colors[v], *sorted(map(colors.__getitem__, nbrs)))
             for v, nbrs in enumerate(neighbors)
         ]
         counts = Counter(keys)

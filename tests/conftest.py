@@ -35,6 +35,19 @@ def seeded_graph(n: int, p: float, seed: int) -> Graph:
     return erdos_renyi(n, p, seed)
 
 
+def reference_erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    """ER oracle: the definition, one ``SplitMix64.random()`` draw per
+    pair in lexicographic order, the pair an edge when the draw is below p."""
+    rng = SplitMix64(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return Graph.from_edges(n, edges)
+
+
 def seeded_connected_graph(n: int, seed: int, p: float = 0.5) -> Graph:
     """First connected draw from a seeded stream of density-p graphs."""
     from rnpkit import is_connected
@@ -190,6 +203,33 @@ def reference_embeddings(p: Graph, t: Graph, induced: bool) -> int:
         ):
             total += 1
     return total
+
+
+def reference_search_plan(adj, colors):
+    """Planner oracle: the matcher's search plan by its definition.  Each
+    next node is the unordered one of greatest (ordered neighbours, -least
+    degree of an ordered neighbour, degree, -node), found by scanning every
+    unordered node; each position's earlier neighbours by scanning the
+    order so far."""
+    n = len(adj)
+    degree = [row.bit_count() for row in adj]
+    least = [n] * n  # the least degree of a node's ordered neighbours
+    remaining = set(range(n))
+    order: list[int] = []
+    back: list[tuple[int, ...]] = []
+    placed = 0
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda u: ((adj[u] & placed).bit_count(), -least[u], degree[u], -u),
+        )
+        back.append(tuple(i for i, x in enumerate(order) if adj[best] >> x & 1))
+        order.append(best)
+        placed |= 1 << best
+        remaining.remove(best)
+        for v in bits_of(adj[best] & ~placed):
+            least[v] = min(least[v], degree[best])
+    return tuple(order), tuple(back), tuple(colors[u] for u in order)
 
 
 def cell_scan_embeddings(adj_p, colors_p, adj_t, colors_t, induced: bool,

@@ -1,13 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rnpkit import (
@@ -1030,6 +1032,97 @@ class TestExitCodes:
         assert code == 2
         assert [row[0] for row in csv.reader(io.StringIO(text))] == ["trial", "0", "1"]
         assert "trial 2 (seed 2): no graph at this seed" in capsys.readouterr().err
+
+
+# The benchmark's pattern files, read only; a missing file and a directory
+# stand for unreadable patterns.
+_PATTERN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "bench", "patterns")
+_BENCH_PATTERNS = sorted(os.path.join(_PATTERN_DIR, name) for name in os.listdir(_PATTERN_DIR))
+_BAD_PATTERNS = [os.path.join(_PATTERN_DIR, "missing.txt"), _PATTERN_DIR]
+_FUZZED_FIELDS = ["kind", "n", "p", "d", "delete", "generator", "trials", "base_seed",
+                  "patterns", "radii", "checks", "mode", "missing", "unknown"]
+
+
+def _json_values(ints):
+    """Any JSON document, its integers drawn from ``ints``."""
+    scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    """Experiment specs of at most 3 trials of at most 12 nodes, with up to
+    two fields of any JSON type (or a spec field missing, or one unknown)."""
+    fuzzed = draw(st.sets(st.sampled_from(_FUZZED_FIELDS), max_size=2))
+    small = _json_values(st.integers(-3, 12))
+
+    def field(name, valid, wrong=small):
+        return draw(wrong if name in fuzzed else valid)
+
+    kind = field("kind", st.sampled_from(["er", "regular"]))
+    generator = {
+        "kind": kind,
+        "n": field("n", st.integers(0, 12)),
+        "p": field("p", st.floats(0, 1)),
+        "d": field("d", st.integers(0, 6)),
+        "delete": field("delete", st.integers(0, 4)),
+    }
+    n, d = generator["n"], generator["d"]
+    # A dense degree below n - 1 pays the pairing model's whole budget.
+    assume(not (cli._is_count(n) and cli._is_count(d) and (n - 1) / 2 < d < n - 1))
+    if "generator" in fuzzed:
+        keys = draw(st.sets(st.sampled_from(sorted(generator))))
+        generator = draw(st.just({key: generator[key] for key in keys}) | small)
+    elif kind in ("er", "regular"):
+        keys = ("kind", "n", "p") if kind == "er" else ("kind", "n", "d", "delete")
+        generator = {key: generator[key] for key in keys}
+    spec = {
+        "generator": generator,
+        "trials": field("trials", st.integers(0, 3), _json_values(st.integers(-3, 3))),
+        "base_seed": field("base_seed", st.integers(0, 9),
+                           st.integers(2**64 - 4, 2**64 + 1) | small),
+        "patterns": field("patterns", st.lists(st.sampled_from(_BENCH_PATTERNS), min_size=1,
+                                               max_size=3),
+                          st.lists(st.sampled_from(_BENCH_PATTERNS + _BAD_PATTERNS),
+                                   max_size=3) | small),
+        "radii": field("radii", st.just("auto") | st.lists(st.integers(0, 4), min_size=1,
+                                                           max_size=3),
+                       st.lists(st.integers(-1, 4), max_size=3) | small),
+        "checks": field("checks", st.lists(st.sampled_from(["theorem1", "theorem3"]),
+                                           max_size=2),
+                        st.lists(st.sampled_from(["theorem1", "theorem2"])) | small),
+        "mode": field("mode", st.sampled_from(["induced", "noninduced"])),
+    }
+    if "missing" in fuzzed:
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    if "unknown" in fuzzed:
+        spec[draw(st.text(max_size=3))] = draw(small)
+    return spec
+
+
+class TestSpecFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_fuzzed_specs())
+    def test_specs_exit_zero_or_two(self, tmp_path_factory, spec):
+        # Exit 1 is an internal error.  A run that exits 2 before its first
+        # row writes nothing, not even the header.
+        path = tmp_path_factory.getbasetemp() / "fuzzed-spec.json"
+        path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["experiment", str(path)])
+        assert code in (0, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
+        if code == 0:
+            assert text.count("\n") == spec["trials"] + 1
+        elif text.count("\n") <= 1:
+            assert text == ""
 
 
 class TestBrokenPipe:

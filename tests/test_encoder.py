@@ -30,7 +30,7 @@ from rnpkit import (
 )
 
 from rnpkit import encoder
-from rnpkit.encoder import _BitTable, _Stats, _leaf_keys, _leaf_level, _leaf_tables
+from rnpkit.encoder import _BitTable, _leaf_keys, _leaf_level, _leaf_tables
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
@@ -350,25 +350,26 @@ class TestAgainstReference:
         own = {0: b"L1;", 1: b"L10;", 2: b"L1;", 5: b"L0;"}
         classes = {b"L1;": 0b101, b"L10;": 0b10, b"L0;": 1 << 5}
         edgeless = (0,) * 12
-        leaves, lookup = _leaf_level(edgeless, classes, 2, 0, _Stats(1), _BitTable())
+        leaves, lookup = _leaf_level(edgeless, classes, 2, _BitTable())
         assert lookup is None
         assert leaves(0b100111) == [node(own[u], []) for u in (0, 1, 2, 5)]
         base, k1, k2, k3, k4, s1, s2, s3, table = _leaf_keys(classes, 6)
         assert (k1, k2, k3, k4) == (1 << 5, 0b10, 0b101, 0)
         assert (s1, s2, s3) == (3, 6, 9)
-        assert base == {0: (3 << 12) - 1, 1: (2 << 12) - 1, 2: (3 << 12) - 1,
-                        5: (1 << 12) - 1}
+        # Indexed by member; 3 and 4 are no members.
+        assert base == [(3 << 12) - 1, (2 << 12) - 1, (3 << 12) - 1, 0, 0,
+                        (1 << 12) - 1]
         assert table is _leaf_tables[3, (b"L0;", b"L10;", b"L1;")]
         # Member 0 with one L0; neighbour and two L1; neighbours.
         assert table[base[0] - (1 << s3 | 2 << s1)] == node(
             own[0], [marked(b"L1;", 1), marked(b"L0;", 1), marked(b"L1;", 1)]
         )
         four, five = ({b"L%d;" % u: 1 << u for u in range(m)} for m in (4, 5))
-        leaves, lookup = _leaf_level((0,) * 8, four, 1, 0, _Stats(1), _BitTable())
+        leaves, lookup = _leaf_level((0,) * 8, four, 1, _BitTable())
         keys = leaves(0b1111)
         assert all(isinstance(key, int) for key in keys)
         assert list(map(lookup, keys)) == [node(b"L%d;" % u, []) for u in range(4)]
-        assert _leaf_level((0,) * 10, five, 1, 0, _Stats(1), _BitTable())[1] is None
+        assert _leaf_level((0,) * 10, five, 1, _BitTable())[1] is None
         monkeypatch.setattr(encoder, "_leaf_keys", None)
         g = erdos_renyi(9, 0.4, 3)
         feats = {v: leaf(0) for v in range(9)}

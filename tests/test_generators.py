@@ -1,7 +1,8 @@
 import hashlib
 import time
+import tracemalloc
 from itertools import combinations
-from math import prod
+from math import nextafter, prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,30 @@ from rnpkit import generators
 from rnpkit.generators import _DRAW_BLOCK, _pair_schedule, _pairing_model_edges
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
-from conftest import canonical_code, primes_below, reference_pairing_edges
+from conftest import (
+    canonical_code,
+    primes_below,
+    reference_erdos_renyi,
+    reference_pairing_edges,
+)
+
+
+@st.composite
+def _er_parameters(draw):
+    """(n, p, seed) with n <= 100: p any float in [0, 1], an edge value, or
+    one pair's own ``random()`` or the float either side of it, where the
+    integer threshold must round as the float comparison does."""
+    n = draw(st.integers(min_value=0, max_value=100))
+    seed = draw(st.integers(min_value=0, max_value=_MASK64))
+    p = draw(st.floats(min_value=0, max_value=1)
+             | st.sampled_from([0, 1, 5e-324, 2**-53, 0.5, nextafter(1, 0)]) | st.none())
+    if p is None:
+        rng = SplitMix64(seed)
+        for _ in range(draw(st.integers(min_value=0, max_value=max(n * (n - 1) // 2 - 1, 0)))):
+            rng.next_u64()
+        p = rng.random()
+        p = nextafter(p, draw(st.sampled_from([0.0, p, 1.0])))
+    return n, p, seed
 
 
 class TestErdosRenyi:
@@ -52,6 +76,26 @@ class TestErdosRenyi:
         assert erdos_renyi(5, 0.5, 42).edges() == [
             (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4),
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_er_parameters(), st.sampled_from([1, 2, 7, 16, generators._ER_CHUNK]))
+    def test_chunked_draws_match_the_definition(self, params, chunk):
+        # Chunks of 1-16 draws end inside rows of the pair order.
+        n, p, seed = params
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_ER_CHUNK", chunk)
+            assert erdos_renyi(n, p, seed) == reference_erdos_renyi(n, p, seed)
+
+    def test_pairs_are_drawn_lazily(self):
+        # 1,999,000 pairs: a list of them all would take over 100 MB.
+        tracemalloc.start()
+        try:
+            g = erdos_renyi(2000, 0.002, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0
+        assert peak < 4 << 20
 
 
 class TestRandomRegular:

@@ -38,6 +38,7 @@ from conftest import (
     neighborhood,
     reference_embeddings,
     reference_layer_sizes,
+    reference_search_plan,
     seeded_graph,
     seeded_permutation,
     wide_sparse_graph_strategy,
@@ -388,6 +389,20 @@ def _wide_matcher_pairs(draw):
     return disjoint_union(piece([2, 1]), piece([2, 1])), t
 
 
+@st.composite
+def _hub_hosts(draw):
+    """Up to 90 nodes: node 0 adjacent to any subset of the rest, plus up
+    to n more node pairs, so that many nodes tie on degree and on their
+    ordered neighbours."""
+    n = draw(st.integers(min_value=2, max_value=90))
+    node = st.integers(min_value=0, max_value=n - 1)
+    spokes = draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    edges = {(0, v) for v in spokes} | {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+    attrs = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges, attrs)
+
+
 class TestMatcher:
     @settings(max_examples=200, deadline=None)
     @given(graph_strategy(max_nodes=8, attributed=True))
@@ -397,6 +412,14 @@ class TestMatcher:
         assert keys == tuple(g.attributes[u] for u in order)
         for j, u in enumerate(order):
             assert back[j] == tuple(i for i in range(j) if g.has_edge(order[i], u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(graph_strategy(max_nodes=9, attributed=True), _hub_hosts(),
+                     wide_sparse_graph_strategy()))
+    def test_plans_match_the_reference_planner(self, g):
+        # The heap planner against the scan of every unordered node.
+        assert _search_plan(g.adjacency, g.attributes) == reference_search_plan(
+            g.adjacency, g.attributes)
 
     @settings(max_examples=300, deadline=None)
     @given(_matcher_pairs())
