@@ -42,12 +42,9 @@ from .generators import (
 )
 from .graphs import (
     Graph,
+    IsomorphismClasses,
     ParseError,
     UnsupportedSizeError,
-    _cell_masks,
-    _search,
-    _search_plan,
-    layer_sizes,
     parse_graph,
     serialize_graph,
 )
@@ -357,23 +354,6 @@ def _draw_trials(spec: dict) -> Iterator[tuple[int, Graph]]:
         yield seed, graph
 
 
-def _node_invariants(g: Graph) -> tuple[tuple, ...]:
-    """Each node's (attribute, BFS layer sizes): its distance histogram, which
-    splits most regular graphs where 1-WL is blind.  A key has one entry per
-    node, so keys match only at equal n, where n - sum(sizes) adds nothing."""
-    return tuple(zip(g.attributes, layer_sizes(g.adjacency)))
-
-
-def _memo_test(adjacency: tuple[int, ...], known: tuple[int, ...],
-               target: tuple[int, ...], cells: dict[int, int]) -> bool:
-    """Whether the graph with rows ``target`` and invariant-id cell masks
-    ``cells`` is isomorphic to a class representative (rows ``adjacency``,
-    ids ``known``) with an equal bucket key.  The class is planned at its
-    first test; the equal key already makes the colour-multiset check."""
-    _, back, keys = _search_plan(adjacency, known)
-    return bool(_search(back, [cells[x] for x in keys], target, True, True))
-
-
 class TrialRecord(NamedTuple):
     """One experiment trial: its columns, and what the isomorphism-class memo
     did (``hit``, and the exact tests that failed against its bucket's classes)."""
@@ -395,38 +375,22 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
                    radii: Sequence[int]) -> Iterator[TrialRecord]:
     """One record per ``(seed, graph)`` trial, in order.  Cross-trial
     fields compare with the earlier trials of this call only."""
-    # Each distinct encoding gets an id, numbered by first appearance; a run
-    # keeps only its full sha256 and the graph of the first trial that
-    # produced it, so no encoding's bytes outlive their trial.  The digest
-    # only picks candidate ids: a miss re-encodes each earlier graph with
+    # Per distinct encoding, in a list under its full sha256: the graph of
+    # the first trial that produced it, and a tally of the earlier trials
+    # with it by count vector; no encoding's bytes outlive their trial.  The
+    # digest only picks candidates: a miss re-encodes each first graph with
     # an equal digest (normally none) and compares bytes.
-    ids_by_digest: dict[str, list[int]] = {}
-    first_graphs: list[Graph] = []
-    # Earlier trials, grouped exactly: encoding id -> {count vector: trials}.
-    trials_by_encoding: list[dict[tuple[int, ...], int]] = []
-    # Isomorphism classes seen so far with their computed columns, in
-    # buckets keyed by the sorted node invariants.  Every column is an
-    # isomorphism invariant, so a graph isomorphic to a representative
-    # reuses its class's columns.  The key only picks the bucket; a hit
-    # needs an exact isomorphism test that pairs nodes of equal invariants.
-    # Each distinct invariant is interned as a small int, numbered in order
-    # of first appearance, so keys and matcher colours are int tuples.
-    invariant_ids: dict[tuple, int] = {}
-    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple, tuple]]] = {}
+    by_digest: dict[str, list[tuple[Graph, dict[tuple[int, ...], int]]]] = {}
+    # Every column is an isomorphism invariant, so a graph isomorphic to an
+    # earlier trial reuses its class's columns, kept here by class index.
+    classes = IsomorphismClasses()
+    class_columns: list[tuple] = []
     # A hit shares an earlier trial's 1-WL certificate, and every earlier
     # trial shares one with a miss, so only misses run 1-WL and record it.
     certificates: set[tuple[int, ...]] = set()
     for trial, (seed, graph) in enumerate(trials):
-        invariants = tuple(invariant_ids.setdefault(x, len(invariant_ids))
-                           for x in _node_invariants(graph))
-        bucket = classes.setdefault(tuple(sorted(invariants)), [])
-        cells = _cell_masks(invariants) if bucket else None
-        for tests_failed, (adjacency, known, columns) in enumerate(bucket):
-            if _memo_test(adjacency, known, graph.adjacency, cells):
-                break
-        else:
-            tests_failed, columns = len(bucket), None
-        hit = columns is not None
+        index, tests_failed = classes.classify(graph)
+        hit = index < len(class_columns)
         wl_distinct = False
         if not hit:
             certificate = wl_refine(graph)[0]
@@ -436,30 +400,26 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
             encodings, counter = rnp_encode_nodes(graph, radii)
             encoding = graph_readout(encodings.values())
             digest = encoding_digest(encoding)
-            same_digest = ids_by_digest.setdefault(digest, [])
-            encoding_id = next((i for i in same_digest if rnp_encode_graph(
-                first_graphs[i], radii) == encoding), None)
-            if encoding_id is None:
-                encoding_id = len(first_graphs)
-                same_digest.append(encoding_id)
-                first_graphs.append(graph)
-                trials_by_encoding.append({})
+            same_digest = by_digest.setdefault(digest, [])
+            tally = next((t for first, t in same_digest
+                          if rnp_encode_graph(first, radii) == encoding), None)
+            if tally is None:
+                tally = {}
+                same_digest.append((graph, tally))
             del encodings, encoding  # not held while the next miss encodes
-            columns = (
+            class_columns.append((
                 counts,
-                encoding_id,
+                tally,
                 digest[:16],
                 counter.invocations,
                 _printable_bound(graph, radii, f"trial {trial} (seed {seed}): "),
-            )
-            bucket.append((graph.adjacency, invariants, columns))
-        counts, encoding_id, digest, updates, bound = columns
-        same_encoding = trials_by_encoding[encoding_id]
+            ))
+        counts, tally, digest, updates, bound = class_columns[index]
         record = TrialRecord(seed, graph, counts, digest, updates, bound,
-                             not same_encoding, wl_distinct,
-                             sum(same_encoding.values()) - same_encoding.get(counts, 0),
+                             not tally, wl_distinct,
+                             sum(tally.values()) - tally.get(counts, 0),
                              hit, tests_failed)
-        same_encoding[counts] = same_encoding.get(counts, 0) + 1
+        tally[counts] = tally.get(counts, 0) + 1
         yield record
 
 

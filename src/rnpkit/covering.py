@@ -34,6 +34,8 @@ def covering_distance(
     Returns INFINITY when the induced subgraph does not connect v to all of
     ``members``.  Requires v to be a member itself.
     """
+    if not 0 <= v < g.node_count:
+        raise ValueError(f"node {v} out of range")
     mask = 0
     for u in members:
         if not 0 <= u < g.node_count:
@@ -57,10 +59,9 @@ def is_vertex_covering_sequence(
     k = h.node_count
     if len(order) != k or sorted(order) != list(range(k)):
         raise ValueError("order must be a permutation of the pattern's nodes")
-    if len(radii) != k - 1:
-        raise ValueError(
-            f"radius budget has length {len(radii)}, expected {k - 1}"
-        )
+    expected = max(k - 1, 0)  # a 0-node pattern takes the empty budget
+    if len(radii) != expected:
+        raise ValueError(f"radius budget has length {len(radii)}, expected {expected}")
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
     mask = (1 << k) - 1
@@ -98,8 +99,8 @@ def admits(h: Graph, radii: Sequence[int]) -> tuple[int, ...] | None:
     memo: dict[int, tuple[int, ...] | None] = {}
 
     def search(mask: int) -> tuple[int, ...] | None:
-        if mask & (mask - 1) == 0:
-            return (mask.bit_length() - 1,)
+        if mask & (mask - 1) == 0:  # one node, or none in a 0-node pattern
+            return (mask.bit_length() - 1,) if mask else ()
         if mask in memo:
             return memo[mask]
         step = k - mask.bit_count()

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, UnsupportedSizeError, are_isomorphic, bits_of, component_mask
+from .graphs import Graph, IsomorphismClasses, UnsupportedSizeError, bits_of, component_mask
 from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
@@ -227,11 +227,12 @@ def prime_partite(primes: "set[int] | list[int] | tuple[int, ...]", n: int) -> G
         raise ValueError("part sizes must be distinct")
     if not parts:
         raise ValueError("at least one part is required")
+    # The sum first: then, parts ascending, no part tested for primality exceeds n.
+    if sum(parts) > n:
+        raise ValueError(f"part sizes sum to {sum(parts)}, exceeding n = {n}")
     for p in parts:
         if not _is_prime(p):
             raise ValueError(f"part size {p} is not prime")
-    if sum(parts) > n:
-        raise ValueError(f"part sizes sum to {sum(parts)}, exceeding n = {n}")
     boundaries = []
     start = 0
     for p in parts:
@@ -305,7 +306,7 @@ def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
     pairs = list(combinations(range(k), 2))
     full = (1 << k) - 1
     classes: list[Graph] = []
-    by_degrees: dict[tuple[int, ...], list[Graph]] = {}
+    index = IsomorphismClasses()
     for bitmask in range(1 << len(pairs)):
         rows = [0] * k
         for i, (u, v) in enumerate(pairs):
@@ -315,8 +316,6 @@ def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
         if k > 1 and component_mask(tuple(rows), full, 0) != full:
             continue
         g = Graph(k, tuple(rows), (0,) * k)
-        bucket = by_degrees.setdefault(tuple(sorted(map(int.bit_count, rows))), [])
-        if not any(are_isomorphic(rep, g) for rep in bucket):
-            bucket.append(g)
+        if index.classify(g)[0] == len(classes):
             classes.append(g)
     return tuple(classes)

@@ -416,6 +416,44 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
                             True, first=True))
 
 
+class IsomorphismClasses:
+    """An index of the attribute-preserving isomorphism classes of the
+    graphs it is shown, numbered from 0 in order of first appearance.
+
+    Each node's invariant is its attribute and BFS layer sizes (its
+    distance histogram, which splits most regular graphs where 1-WL is
+    blind), interned as a small int in order of first appearance.  A
+    graph's sorted ids are its key; keys match only at equal n, where the
+    nodes out of reach add nothing.  The key only picks a bucket of
+    earlier classes: a class is found by the exact search with the ids as
+    colours, in bucket order, from a plan cached per class, and the equal
+    key already makes the colour-multiset check.
+    """
+
+    def __init__(self) -> None:
+        self._invariant_ids: dict[tuple, int] = {}
+        # key -> [(class, representative's rows, its ids)]
+        self._buckets: dict[tuple[int, ...], list[tuple[int, tuple, tuple]]] = {}
+        self._size = 0
+
+    def classify(self, g: Graph) -> tuple[int, int]:
+        """``g``'s class, a new one if no earlier graph is isomorphic to it,
+        and the exact tests that failed against other classes in its bucket."""
+        ids = self._invariant_ids
+        colors = tuple(ids.setdefault(x, len(ids))
+                       for x in zip(g.attributes, layer_sizes(g.adjacency)))
+        bucket = self._buckets.setdefault(tuple(sorted(colors)), [])
+        if bucket:
+            cells = _cell_masks(colors)
+            for tests_failed, (index, adjacency, known) in enumerate(bucket):
+                _, back, keys = _search_plan(adjacency, known)
+                if _search(back, [cells[x] for x in keys], g.adjacency, True, True):
+                    return index, tests_failed
+        bucket.append((self._size, g.adjacency, colors))
+        self._size += 1
+        return self._size - 1, len(bucket) - 1
+
+
 def _integer(token: str) -> int:
     """``token`` as an integer: an optional ``-``, then ASCII digits only."""
     digits = token[1:] if token.startswith("-") else token

@@ -38,6 +38,7 @@ from rnpkit import (
 )
 from rnpkit import cli, generators
 from rnpkit.cli import main
+from rnpkit.graphs import IsomorphismClasses
 
 from conftest import (
     canonical_code,
@@ -834,18 +835,14 @@ class TestMemoKey:
         n = g.node_count
         pairs = list(combinations(range(n), 2))
 
-        def key(x):
-            return tuple(sorted(cli._node_invariants(x)))
-
         def hit(x, y):
-            # The memo tests a graph only against classes in its bucket.
-            return key(x) == key(y) and cli._memo_test(
-                x.adjacency, cli._node_invariants(x), y.adjacency,
-                cli._cell_masks(cli._node_invariants(y)),
-            )
+            # y falls in x's class in a fresh index.
+            classes = IsomorphismClasses()
+            classes.classify(x)
+            return classes.classify(y)[0] == 0
 
+        # A relabelled copy must hit, so the bucket key is invariant.
         copy = permuted(g, shuffled(n, seed))
-        assert key(copy) == key(g)
         assert hit(g, copy) and are_isomorphic(g, copy)
         # A few flipped edges, relabelled, and the same edges with the
         # attributes moved: often isomorphic or sharing the key.
@@ -854,8 +851,15 @@ class TestMemoKey:
         moved = Graph(n, g.adjacency, tuple(g.attributes[v] for v in shuffled(n, seed + 2)))
         for other in (flipped, moved):
             assert hit(g, other) == are_isomorphic(g, other) == hit(other, g)
-            if key(other) != key(g):
-                assert not are_isomorphic(g, other)
+
+    def test_classes_sharing_a_key_are_tested_in_order(self):
+        # The rook's and Shrikhande graphs share a bucket: a relabelled
+        # Shrikhande graph fails its test against the rook's class first.
+        rook, shrikhande = rook_and_shrikhande()
+        classes = IsomorphismClasses()
+        sequence = [rook, shrikhande, permuted(rook, shuffled(16, 0)),
+                    permuted(shrikhande, shuffled(16, 1))]
+        assert [classes.classify(g) for g in sequence] == [(0, 0), (1, 1), (0, 0), (1, 1)]
 
 
 class TestExperimentValidation:

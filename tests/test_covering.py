@@ -42,6 +42,11 @@ class TestCoveringDistance:
         with pytest.raises(ValueError):
             covering_distance(path(3), 1, {0, 2})
 
+    def test_rejects_node_out_of_range(self):
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match=f"node {v} out of range"):
+                covering_distance(path(3), v, {0})
+
 
 class TestVertexCoveringSequence:
     def test_triangle(self):
@@ -61,6 +66,9 @@ class TestVertexCoveringSequence:
     def test_non_permutation(self):
         with pytest.raises(ValueError):
             is_vertex_covering_sequence(complete(3), (0, 0, 2), (1, 1))
+
+    def test_empty_pattern_takes_the_empty_budget(self):
+        assert is_vertex_covering_sequence(Graph(0, (), ()), (), ())
 
     def test_tight_nonmonotone_budget(self):
         # hub node adjacent to every node of a 5-path: peeling the hub
@@ -106,6 +114,10 @@ class TestAdmits:
     def test_rejects_short_budget(self):
         with pytest.raises(ValueError):
             admits(complete(4), (1, 1))
+
+    def test_empty_pattern_takes_the_empty_order(self):
+        for radii in ((), (0,), (3, 1)):
+            assert admits(Graph(0, (), ()), radii) == ()
 
     def test_padded_budget_uses_prefix(self):
         # zero-padded family budgets: the pattern only consumes its prefix

@@ -382,6 +382,15 @@ class TestPrimePartite:
         with pytest.raises(ValueError):
             prime_partite([], 4)
 
+    def test_oversized_part_is_rejected_before_primality(self, monkeypatch):
+        # Trial division of 10**18 + 3 takes minutes; the sum check comes first.
+        tested = []
+        is_prime = generators._is_prime
+        monkeypatch.setattr(generators, "_is_prime", lambda x: tested.append(x) or is_prime(x))
+        with pytest.raises(ValueError, match="exceeding n = 5"):
+            prime_partite([1000000000000000003], 5)
+        assert tested == []
+
 
 class TestPrimes:
     @pytest.mark.parametrize(
