@@ -48,7 +48,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .wl import wl_distinguish, wl_refine
+from .wl import degree_profile, wl_distinguish, wl_refine
 
 SCHEMA = "rnp-kit/1"
 
@@ -386,16 +386,26 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
     classes = IsomorphismClasses()
     class_columns: list[tuple] = []
     # A hit shares an earlier trial's 1-WL certificate, and every earlier
-    # trial shares one with a miss, so only misses run 1-WL and record it.
-    certificates: set[tuple[int, ...]] = set()
+    # trial shares one with a miss, so only misses need 1-WL.  Equal
+    # certificates have equal degree profiles, so a miss whose profile is
+    # new is distinct unrefined, and its graph waits under the profile.  A
+    # second miss with that profile refines the waiting graph, then itself;
+    # from then on the profile keeps its misses' certificates.
+    by_profile: dict[tuple[int, ...], Graph | set[tuple[int, ...]]] = {}
     for trial, (seed, graph) in enumerate(trials):
         index, tests_failed = classes.classify(graph)
         hit = index < len(class_columns)
         wl_distinct = False
         if not hit:
-            certificate = wl_refine(graph)[0]
-            wl_distinct = certificate not in certificates
-            certificates.add(certificate)
+            profile = degree_profile(graph)
+            certificates = by_profile.setdefault(profile, graph)
+            wl_distinct = certificates is graph
+            if not wl_distinct:
+                if isinstance(certificates, Graph):
+                    certificates = by_profile[profile] = {wl_refine(certificates)[0]}
+                certificate = wl_refine(graph)[0]
+                wl_distinct = certificate not in certificates
+                certificates.add(certificate)
             counts = census.counts(graph)
             encodings, counter = rnp_encode_nodes(graph, radii)
             encoding = graph_readout(encodings.values())

@@ -491,7 +491,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(lineno, "header values must be integers") from None
             if node_count < 0 or edge_target < 0:
                 raise ParseError(lineno, "header values must be nonnegative")
-            rows = [0] * node_count
+            try:
+                rows = [0] * node_count
+            except (OverflowError, MemoryError):  # more nodes than a list holds
+                raise ParseError(lineno, f"node count {node_count} is too large") from None
             attrs = [0] * node_count
             header_done = True
             continue

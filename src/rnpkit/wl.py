@@ -48,6 +48,18 @@ from collections import Counter
 from .graphs import Graph, bits_of
 
 
+def degree_profile(g: Graph) -> tuple[int, ...]:
+    """Each node's ``attribute * n + degree``, sorted: its (attribute,
+    degree) pairs in one int each.
+
+    Equal certificates give equal profiles, since round 1 lists each node's
+    key (attribute, sorted neighbor attributes), whose length is its degree
+    plus one.
+    """
+    n = g.node_count
+    return tuple(sorted(a * n + row.bit_count() for a, row in zip(g.attributes, g.adjacency)))
+
+
 def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(certificate, stable colors, rounds run) of exact color refinement."""
     neighbors = [bits_of(row) for row in g.adjacency]
@@ -93,4 +105,6 @@ def wl_stabilization_rounds(g: Graph) -> int:
 
 def wl_distinguish(g1: Graph, g2: Graph) -> bool:
     """True iff 1-WL refinement separates the two graphs."""
+    if degree_profile(g1) != degree_profile(g2):
+        return True
     return wl_refine(g1)[0] != wl_refine(g2)[0]

@@ -593,6 +593,9 @@ class TestTextFormat:
             ("2 0\nattr \u0661 1\n", 2, "attribute line values must be integers"),
             ("3 1\n0 \uff12\n", 2, "edge endpoints must be integers"),
             ("2 1\n0 1\n\nattr 1 -3\n", 4, "attribute for node 1 must be nonnegative"),
+            # past the largest list size
+            ("1" * 30 + " 0\n", 1, "node count 1{30} is too large"),
+            ("# c\n18446744073709551616 2\n", 2, "node count 18446744073709551616 is too large"),
         ],
     )
     def test_parse_errors_name_their_line(self, text, line, message):

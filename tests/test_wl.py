@@ -15,6 +15,7 @@ from rnpkit import (
     distinguish,
     enumerate_connected_graphs,
     erdos_renyi,
+    figure2_pair,
     path,
     permuted,
     random_regular_perturbed,
@@ -23,6 +24,7 @@ from rnpkit import (
     wl_refine,
     wl_stabilization_rounds,
 )
+from rnpkit import wl
 
 from conftest import (
     all_graphs,
@@ -208,6 +210,57 @@ class TestDistinguish:
         assert not wl_distinguish(cycle(8), Graph.from_edges(
             8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
         ))
+
+
+def profile_from_certificate(certificate):
+    """The sorted ``attribute * n + degree`` per node, read off round 1:
+    each key is a node's attribute and its neighbors' attributes."""
+    n, _, rounds = certificate_rounds(certificate)
+    return tuple(sorted(
+        key[0] * n + len(key) - 1 for count, key in rounds[0] for _ in range(count)
+    ))
+
+
+class TestDegreeProfile:
+    @settings(max_examples=100, deadline=None)
+    @given(graph_strategy(max_nodes=8, attributed=True))
+    def test_round_one_holds_the_profile(self, g):
+        assert profile_from_certificate(wl_refine(g)[0]) == wl.degree_profile(g)
+
+    def test_round_one_holds_the_profile_on_connected_six_node_classes(self):
+        graphs = enumerate_connected_graphs(6)
+        assert len(graphs) == 112
+        for g in graphs:
+            assert profile_from_certificate(wl_refine(g)[0]) == wl.degree_profile(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph_strategy(max_nodes=7, attributed=True, max_attribute=1),
+        graph_strategy(max_nodes=7, attributed=True, max_attribute=1),
+        st.booleans(),
+        st.integers(min_value=0, max_value=1 << 32),
+    )
+    def test_distinguish_agrees_with_certificates(self, g, h, relabel, seed):
+        # half the draws compare g with a relabelled copy, which 1-WL never separates
+        if relabel:
+            h = permuted(g, seeded_permutation(g.node_count, seed))
+        assert wl_distinguish(g, h) == (wl_refine(g)[0] != wl_refine(h)[0])
+
+    def test_distinguish_agrees_with_certificates_on_figure_pair(self):
+        a, b = figure2_pair()
+        assert wl.degree_profile(a) == wl.degree_profile(b)
+        assert wl_refine(a)[0] == wl_refine(b)[0]
+        assert not wl_distinguish(a, b)
+
+    def test_distinct_profiles_refine_nothing(self, monkeypatch):
+        refined = []
+        refine = wl.wl_refine
+        monkeypatch.setattr(wl, "wl_refine", lambda g: refined.append(g) or refine(g))
+        # equal n and edge count, degrees (1, 1, 2, 2) against (1, 1, 1, 3)
+        assert wl_distinguish(path(4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        assert refined == []
+        assert not wl_distinguish(cycle(6), two_triangles())
+        assert len(refined) == 2
 
 
 class TestAgainstPooling:
