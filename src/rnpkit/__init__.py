@@ -58,7 +58,7 @@ from .graphs import (
     serialize_graph,
 )
 from .rng import SplitMix64
-from .wl import wl_distinguish, wl_refine, wl_stabilization_rounds
+from .wl import wl_distinguish, wl_refine
 
 __all__ = [
     "INFINITY",
@@ -105,5 +105,4 @@ __all__ = [
     "update_bound",
     "wl_distinguish",
     "wl_refine",
-    "wl_stabilization_rounds",
 ]

@@ -188,15 +188,11 @@ def family_covering_sequence(patterns: Sequence[Graph]) -> tuple[int, ...]:
     """
     if not patterns:
         raise ValueError("pattern family must be nonempty")
-    sequences = []
-    for p in patterns:
-        if p.node_count == 1:
-            sequences.append(())
-        else:
-            sequences.append(min_r1_covering_sequence(p)[0])
-    length = max(len(s) for s in sequences)
-    if not length:
+    # Patterns of fewer than two nodes admit every budget, so add no radii.
+    sequences = [min_r1_covering_sequence(p)[0] for p in patterns if p.node_count > 1]
+    if not sequences:
         raise ValueError("pattern family needs a pattern with at least 2 nodes")
+    length = max(map(len, sequences))
     return tuple(
         max((s[i] if i < len(s) else 0) for s in sequences) for i in range(length)
     )

@@ -9,8 +9,9 @@ that splits no class (Cardon & Crochemore 1982; Berkholz, Bonsma & Grohe
 is t + 1 <= n rounds.
 
 The certificate is one flat, self-delimiting tuple of ints: n, the sorted
-attributes, then for each round the number of distinct keys followed by
-each key's (count, length, key ints) in sorted key order.
+attributes, then one block per round run (t + 1 <= n of them for n >= 1),
+each the number of distinct keys followed by each key's (count, length,
+key ints) in sorted key order.
 
 Why comparing certificates is 1-WL.  Let the true color of a node at
 round s be its full refinement tree to depth s (what a collision-free
@@ -60,15 +61,19 @@ def degree_profile(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(a * n + row.bit_count() for a, row in zip(g.attributes, g.adjacency)))
 
 
-def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(certificate, stable colors, rounds run) of exact color refinement."""
+def wl_refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(certificate, stable colors) of 1-WL refinement.
+
+    Two graphs get equal certificates iff 1-WL cannot tell them apart.
+    Stable colors are ranks; they are comparable across graphs that share
+    a certificate.  The certificate holds one block per round run: t + 1
+    <= n blocks for n >= 1 nodes, and ``(0, 0)`` for the empty graph.
+    """
     neighbors = [bits_of(row) for row in g.adjacency]
     colors = list(g.attributes)
     certificate = [g.node_count, *sorted(colors)]
     classes = len(set(colors))
-    rounds = 0
     while True:
-        rounds += 1
         keys = [
             (colors[v], *sorted(map(colors.__getitem__, nbrs)))
             for v, nbrs in enumerate(neighbors)
@@ -81,26 +86,8 @@ def _refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
             certificate += (counts[key], len(key), *key)
         colors = [ranks[key] for key in keys]
         if len(counts) == classes:
-            return tuple(certificate), tuple(colors), rounds
+            return tuple(certificate), tuple(colors)
         classes = len(counts)
-
-
-def wl_refine(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(certificate, stable colors) of 1-WL refinement.
-
-    Two graphs get equal certificates iff 1-WL cannot tell them apart.
-    Stable colors are ranks; they are comparable across graphs that share
-    a certificate.
-    """
-    certificate, colors, _ = _refine(g)
-    return certificate, colors
-
-
-def wl_stabilization_rounds(g: Graph) -> int:
-    """Rounds until the induced partition stops refining (at most n)."""
-    if g.node_count == 0:
-        return 0
-    return _refine(g)[2]
 
 
 def wl_distinguish(g1: Graph, g2: Graph) -> bool:

@@ -866,6 +866,20 @@ class TestExperiment:
             got = [int(row[f"count:{f}"]) for f in files]
             assert got == [oracle(g, h) for h in patterns]
 
+    @pytest.mark.parametrize("mode", ["induced", "noninduced"])
+    def test_auto_radii_skip_an_empty_pattern(self, tmp_path, mode):
+        # The empty pattern admits every budget, so the family's radii come
+        # from K2 alone; the oracles count the empty graph once in any host.
+        empty = write_graph(tmp_path, "empty.txt", Graph(0, (), ()))
+        k2 = write_graph(tmp_path, "k2.txt", complete(2))
+        spec = experiment_spec(tmp_path, patterns=[empty, k2], trials=6, mode=mode)
+        code, text = run(["experiment", spec])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 6
+        assert all(row[f"count:{empty}"] == "1" for row in rows)
+        assert {row["radii"] for row in rows} == {"1"}
+
 
 def toggled(g, pairs):
     """g with the edge state of each node pair in ``pairs`` flipped."""

@@ -225,9 +225,13 @@ class TestFamilySequence:
             family_covering_sequence([])
 
     def test_rejects_single_node_patterns_only(self):
-        with pytest.raises(ValueError, match="at least 2 nodes"):
-            family_covering_sequence([complete(1), complete(1)])
+        empty = Graph(0, (), ())
+        for family in ([complete(1), complete(1)], [complete(1)], [empty], [empty, complete(1)]):
+            with pytest.raises(ValueError, match="family needs a pattern with at least 2 nodes"):
+                family_covering_sequence(family)
         assert family_covering_sequence([complete(1), complete(2)]) == (1,)
+        assert family_covering_sequence([empty, complete(2)]) == (1,)
+        assert family_covering_sequence([empty, complete(1), path(3)]) == (2, 1)
 
 
 class TestMonotonicity:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import types
 from collections import Counter
 from itertools import combinations
 
@@ -22,8 +23,8 @@ from rnpkit import (
     two_triangles,
     wl_distinguish,
     wl_refine,
-    wl_stabilization_rounds,
 )
+import rnpkit
 from rnpkit import wl
 
 from conftest import (
@@ -75,6 +76,18 @@ def assert_certificates_match_oracle(graphs, oracle=None):
     assert sorted(by_certificate.values()) == sorted(by_oracle.values())
 
 
+def assert_rounds_match_oracle(graphs):
+    """Each certificate holds one block per oracle round; the empty graph's
+    certificate is exactly (0, 0)."""
+    for g in graphs:
+        certificate = wl_refine(g)[0]
+        if g.node_count == 0:
+            assert certificate == (0, 0)
+        else:
+            _, _, rounds = certificate_rounds(certificate)
+            assert len(rounds) == reference_wl_stabilization_rounds(g)
+
+
 @pytest.fixture(scope="module")
 def benchmark_corpus():
     """The 100 ER and 2,000 perturbed-regular graphs of a seed-1 benchmark
@@ -123,7 +136,8 @@ class TestRefinement:
         graphs = [cycle(6), path(7), two_triangles(), seeded_graph(10, 0.3, 5)]
         graphs += list(enumerate_connected_graphs(5))
         for g in graphs:
-            assert wl_stabilization_rounds(g) <= max(1, g.node_count)
+            _, _, rounds = certificate_rounds(wl_refine(g)[0])
+            assert len(rounds) <= max(1, g.node_count)
 
     def test_partition_never_coarsens(self):
         # class counts rise every round until the last, which splits nothing
@@ -133,7 +147,6 @@ class TestRefinement:
             classes = [len(set(attributes))] + [len(h) for h in rounds]
             assert all(a < b for a, b in zip(classes, classes[1:-1]))
             assert classes[-1] == classes[-2]
-            assert len(rounds) == wl_stabilization_rounds(g)
 
     def test_histograms_pinned_on_benchmark_graphs(self, benchmark_corpus):
         # The oracle's sha256 colors, pinned byte for byte: the digest of
@@ -174,13 +187,10 @@ class TestAgainstOracle:
         # with permuted copies, so that every draw has equal pairs too
         copies = [permuted(g, seeded_permutation(g.node_count, seed)) for g in graphs]
         assert_certificates_match_oracle(graphs + copies)
-        for g in graphs:
-            assert wl_stabilization_rounds(g) == reference_wl_stabilization_rounds(g)
+        assert_rounds_match_oracle(graphs)
 
     def test_stabilization_rounds(self, benchmark_corpus):
-        graphs = benchmark_corpus[0] + small_graphs()
-        for g in graphs:
-            assert wl_stabilization_rounds(g) == reference_wl_stabilization_rounds(g)
+        assert_rounds_match_oracle(benchmark_corpus[0] + small_graphs())
 
     def test_distinguish_on_small_connected_graphs(self):
         graphs = [g for k in range(1, 7) for g in enumerate_connected_graphs(k)]
@@ -277,3 +287,14 @@ class TestAgainstPooling:
             h = erdos_renyi(n, 0.3 + 0.4 * rng.random(), rng.next_u64())
             if wl_distinguish(g, h):
                 assert distinguish(g, h, (1, 1))
+
+
+class TestPackageExports:
+    def test_all_is_exactly_the_public_non_module_names(self):
+        public = {
+            name
+            for name, value in vars(rnpkit).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        # every listed name resolves, since each is one of vars(rnpkit)
+        assert sorted(rnpkit.__all__) == sorted(public)
