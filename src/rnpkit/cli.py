@@ -2,12 +2,14 @@
 encoding, baseline comparison, and batch experiments.
 
 Every command is deterministic given its arguments and seeds; rerunning
-produces byte-identical output.  JSON outputs carry a ``schema`` field
-("rnp-kit/1").  Exit codes: 0 success, 1 internal error, 2 user error,
-141 output closed early.  Only typed input errors (``UserError``,
-``ParseError``, ``UnsupportedSizeError``) exit 2; commands wrap the
-``ValueError`` a library call raises for bad user input as ``UserError``,
-so any other exception is a bug and exits 1.  When the reader of the
+produces byte-identical output.  ``gen`` and ``experiment`` write their own
+output; every other command returns its result, which ``main`` prints as one
+JSON line whose first key is ``schema`` ("rnp-kit/1").  Exit codes: 0
+success, 1 internal error, 2 user error, 141 output closed early.  Only
+typed input errors (``UserError``, ``ParseError``,
+``UnsupportedSizeError``) exit 2; commands wrap the ``ValueError`` a
+library call raises for bad user input as ``UserError``, so any other
+exception is a bug and exits 1.  When the reader of the
 output goes away (``rnpkit experiment spec.json | head -2``), the command
 stops quietly with 141, the status a shell reports for a process ended by
 SIGPIPE (128 + 13).
@@ -100,10 +102,6 @@ def _parse_probability(text: str) -> float:
     raise UserError(f"bad --p '{text}': expected a decimal number in [0, 1]")
 
 
-def _emit_json(payload: dict, out) -> None:
-    out.write(json.dumps(payload) + "\n")
-
-
 def _write_text(text: str, path: str | None, out) -> None:
     if path is None:
         out.write(text)
@@ -115,13 +113,17 @@ def _write_text(text: str, path: str | None, out) -> None:
             raise UserError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args, out) -> None:
     # Integer options arrive as text and take ASCII digits only, like --radii.
     for name in ("n", "d", "delete", "size", "seed"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _parse_counts(getattr(args, name), "--" + name, True)[0])
     if getattr(args, "seed", None) is not None and args.seed >= SEED_LIMIT:
         raise UserError(f"bad --seed '{args.seed}': expected an integer below 2**64")
+    for name in ("n", "size"):  # a list holds at most sys.maxsize items
+        value = getattr(args, name, None)
+        if value is not None and value > sys.maxsize:
+            raise UserError(f"bad --{name} '{value}': expected an integer at most {sys.maxsize}")
     try:
         if args.family == "er":
             graphs = [erdos_renyi(args.n, _parse_probability(args.p), args.seed)]
@@ -136,42 +138,23 @@ def _cmd_gen(args, out) -> int:
         raise UserError(str(exc)) from exc
     text = "# --- second graph ---\n".join(serialize_graph(g) for g in graphs)
     _write_text(text, args.out, out)
-    return 0
 
 
-def _cmd_cover(args, out) -> int:
+def _cmd_cover(args) -> dict:
     graph = _load_graph(args.graph)
     try:
         radii, order = min_r1_covering_sequence(graph)
     except ValueError as exc:  # too small, disconnected or too large
         raise UserError(f"{args.graph}: {exc}") from exc
     valid = is_vertex_covering_sequence(graph, order, radii)
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "radii": list(radii),
-            "order": list(order),
-            "valid": valid,
-        },
-        out,
-    )
-    return 0
+    return {"radii": list(radii), "order": list(order), "valid": valid}
 
 
-def _cmd_count(args, out) -> int:
+def _cmd_count(args) -> dict:
     graph = _load_graph(args.graph)
     pat = _load_graph(args.pattern)
     counter = count_induced if args.mode == "induced" else count_noninduced
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "pattern": args.pattern,
-            "mode": args.mode,
-            "count": counter(graph, pat),
-        },
-        out,
-    )
-    return 0
+    return {"pattern": args.pattern, "mode": args.mode, "count": counter(graph, pat)}
 
 
 def _printable_bound(graph: Graph, radii: Sequence[int], where: str = "") -> int:
@@ -185,55 +168,32 @@ def _printable_bound(graph: Graph, radii: Sequence[int], where: str = "") -> int
     return bound
 
 
-def _cmd_encode(args, out) -> int:
+def _cmd_encode(args) -> dict:
     graph = _load_graph(args.graph)
     radii = _parse_counts(args.radii, "radii")
     bound = _printable_bound(graph, radii)
     encodings, counter = rnp_encode_nodes(graph, radii)
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "digest": encoding_digest(graph_readout(encodings.values())),
-            "updates": counter.invocations,
-            "bound": bound,
-        },
-        out,
-    )
-    return 0
+    return {
+        "digest": encoding_digest(graph_readout(encodings.values())),
+        "updates": counter.invocations,
+        "bound": bound,
+    }
 
 
-def _cmd_distinguish(args, out) -> int:
+def _cmd_distinguish(args) -> dict:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     radii = _parse_counts(args.radii, "radii")
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "rnp": distinguish(g1, g2, radii),
-            "wl": wl_distinguish(g1, g2),
-            "radii": list(radii),
-        },
-        out,
-    )
-    return 0
+    return {"rnp": distinguish(g1, g2, radii), "wl": wl_distinguish(g1, g2), "radii": list(radii)}
 
 
-def _cmd_complexity(args, out) -> int:
+def _cmd_complexity(args) -> dict:
     graph = _load_graph(args.graph)
     radii = _parse_counts(args.radii, "radii")
     bound = _printable_bound(graph, radii)
     _, counter = rnp_encode_nodes(graph, radii)
     ratio = counter.invocations / bound if bound else 0.0
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "updates": counter.invocations,
-            "bound": bound,
-            "ratio": ratio,
-        },
-        out,
-    )
-    return 0
+    return {"updates": counter.invocations, "bound": bound, "ratio": ratio}
 
 
 _SPEC_KEYS = {"generator", "trials", "base_seed", "patterns", "radii", "checks", "mode"}
@@ -291,6 +251,8 @@ def _load_experiment_spec(path: str) -> tuple[dict, PatternCensus, tuple[int, ..
     for key in sorted(_GENERATOR_KEYS[gen["kind"]] - {"kind", "p"}):
         if not _is_count(gen[key]):
             raise UserError(f"{path}: generator {key} must be a nonnegative integer")
+    if gen["n"] > sys.maxsize:  # a list holds at most sys.maxsize items
+        raise UserError(f"{path}: generator n must be at most {sys.maxsize}")
     if gen["kind"] == "er":
         p = gen["p"]
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
@@ -433,7 +395,7 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
         yield record
 
 
-def _cmd_experiment(args, out) -> int:
+def _cmd_experiment(args, out) -> None:
     spec, census, radii = _load_experiment_spec(args.spec)
     checks = spec.get("checks", [])
     header = ["trial", "seed", "generator", "n", "radii"]
@@ -464,7 +426,6 @@ def _cmd_experiment(args, out) -> int:
         if "theorem3" in checks:
             row.append(record.updates <= record.bound)
         writer.writerow(row)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,14 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
+# Writers print their own output; reports return one JSON object's fields.
+_WRITERS = {"gen": _cmd_gen, "experiment": _cmd_experiment}
+_REPORTS = {
     "cover": _cmd_cover,
     "count": _cmd_count,
     "encode": _cmd_encode,
     "distinguish": _cmd_distinguish,
     "complexity": _cmd_complexity,
-    "experiment": _cmd_experiment,
 }
 
 
@@ -539,10 +500,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
-        code = _DISPATCH[args.command](args, out)
+        if args.command in _WRITERS:
+            _WRITERS[args.command](args, out)
+        else:
+            out.write(json.dumps({"schema": SCHEMA, **_REPORTS[args.command](args)}) + "\n")
         if out is sys.stdout:
             out.flush()  # so that a closed pipe shows here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:
         if out is sys.stdout:
             # The interpreter flushes stdout at exit; let that write go nowhere.

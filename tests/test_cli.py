@@ -265,6 +265,24 @@ class TestNumberLists:
         assert run(["gen", *family, "--n", "6", "--seed", str(seed)]) == (2, "")
         assert f"bad --seed '{seed}': expected an integer below 2**64" in capsys.readouterr().err
 
+    # No list holds more than sys.maxsize items, so a larger size is a user
+    # error before any generator runs.  Sizes up to sys.maxsize that are
+    # still too large to build are not tested: they allocate.
+    @pytest.mark.parametrize("size", ["1" * 30, str(sys.maxsize + 1)])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["er", "--p", "0", "--seed", "1", "--n"], "--n"),
+            (["regular", "--d", "0", "--seed", "1", "--n"], "--n"),
+            (["regular", "--d", "2", "--seed", "1", "--n"], "--n"),
+            (["prime-partite", "--primes", "2", "--n"], "--n"),
+            (["pattern", "--name", "path", "--size"], "--size"),
+        ],
+    )
+    def test_gen_sizes_beyond_sys_maxsize_are_user_errors(self, capsys, argv, option, size):
+        assert run(["gen", *argv, size]) == (2, "")
+        assert f"bad {option} '{size}'" in capsys.readouterr().err
+
     def test_largest_gen_seed_still_draws(self):
         code, out = run(["gen", "er", "--n", "6", "--p", "0.5", "--seed", str(2**64 - 1)])
         assert (code, out) == (0, serialize_graph(erdos_renyi(6, 0.5, 2**64 - 1)))
@@ -362,6 +380,28 @@ class TestComplexityAndEncode:
         payload = json.loads(a)
         assert set(payload) == {"schema", "digest", "updates", "bound"}
         assert len(payload["digest"]) == 64
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("cover", ["radii", "order", "valid"]),
+            ("count", ["pattern", "mode", "count"]),
+            ("encode", ["digest", "updates", "bound"]),
+            ("distinguish", ["rnp", "wl", "radii"]),
+            ("complexity", ["updates", "bound", "ratio"]),
+        ],
+    )
+    def test_one_line_with_schema_first(self, tmp_path, command, keys):
+        c6 = write_graph(tmp_path, "c6.txt", cycle(6))
+        k3 = write_graph(tmp_path, "k3.txt", complete(3))
+        operands = {"cover": [c6], "count": [c6, k3], "distinguish": [c6, k3, "--radii", "1,1"]}
+        code, text = run([command, *operands.get(command, [c6, "--radii", "2,1"])])
+        assert code == 0 and text.endswith("\n") and text.count("\n") == 1
+        payload = json.loads(text)
+        assert list(payload) == ["schema", *keys]
+        assert payload["schema"] == "rnp-kit/1"
 
 
 def spec_patterns(spec_path):
@@ -990,6 +1030,17 @@ class TestExperimentValidation:
         path = str(tmp_path / name)
         assert run(["experiment", path]) == (2, "")
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [int("1" * 30), sys.maxsize + 1])
+    @pytest.mark.parametrize("generator", [{"kind": "er", "p": 0},
+                                           {"kind": "regular", "d": 0, "delete": 0}])
+    def test_node_count_beyond_sys_maxsize_rejected_before_output(
+        self, tmp_path, capsys, generator, n
+    ):
+        spec = experiment_spec(tmp_path, generator={**generator, "n": n},
+                               patterns=[], radii=[1], trials=1)
+        assert run(["experiment", spec]) == (2, "")
+        assert f"generator n must be at most {sys.maxsize}" in capsys.readouterr().err
 
     def test_patterns_must_be_a_list(self, tmp_path, capsys):
         k3 = write_graph(tmp_path, "k3.txt", complete(3))
