@@ -12,7 +12,8 @@ library call raises for bad user input as ``UserError``, so any other
 exception is a bug and exits 1.  When the reader of the
 output goes away (``rnpkit experiment spec.json | head -2``), the command
 stops quietly with 141, the status a shell reports for a process ended by
-SIGPIPE (128 + 13).
+SIGPIPE (128 + 13).  Any other failed write to the output (a full disk,
+``> /dev/full``) exits 2 with ``error: output: <reason>``.
 """
 
 from __future__ import annotations
@@ -507,13 +508,16 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if out is sys.stdout:
             out.flush()  # so that a closed pipe shows here, not at interpreter exit
         return 0
-    except BrokenPipeError:
+    except OSError as exc:  # from the output: commands wrap their file errors
         if out is sys.stdout:
             # The interpreter flushes stdout at exit; let that write go nowhere.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
     except (UserError, ParseError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

@@ -233,15 +233,8 @@ def prime_partite(primes: "set[int] | list[int] | tuple[int, ...]", n: int) -> G
     for p in parts:
         if not _is_prime(p):
             raise ValueError(f"part size {p} is not prime")
-    boundaries = []
-    start = 0
-    for p in parts:
-        boundaries.append((start, start + p))
-        start += p
-    edges = []
-    for i, (a0, a1) in enumerate(boundaries):
-        for b0, b1 in boundaries[i + 1 :]:
-            edges.extend((u, v) for u in range(a0, a1) for v in range(b0, b1))
+    part = [i for i, p in enumerate(parts) for _ in range(p)]  # each node's part
+    edges = [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]]
     return Graph.from_edges(n, edges)
 
 

@@ -467,56 +467,51 @@ def parse_graph(text: str) -> Graph:
 
     Format: header line ``<n> <m>``, then m edge lines ``<u> <v>`` with
     u < v, then optional ``attr <u> <x>`` lines.  ``#`` starts a comment.
+    Of the lines that are neither blank nor comments, the first is the
+    header, the next m the edges and the rest the attributes; a missing
+    line is reported one past the last line.
     """
-    node_count = -1
-    edge_target = 0
-    edges_seen = 0
-    rows: list[int] = []
-    attrs: list[int] = []
+    lines = text.splitlines()
+    end = len(lines) + 1
+    content = [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1)
+               if tokens and not tokens[0].startswith("#")]
+    if not content:
+        raise ParseError(end, "missing header line")
+    (lineno, tokens), body = content[0], content[1:]
+    if len(tokens) != 2:
+        raise ParseError(lineno, "header must be '<node count> <edge count>'")
+    try:
+        node_count, edge_count = _integer(tokens[0]), _integer(tokens[1])
+    except ValueError:
+        raise ParseError(lineno, "header values must be integers") from None
+    if node_count < 0 or edge_count < 0:
+        raise ParseError(lineno, "header values must be nonnegative")
+    try:
+        rows = [0] * node_count
+    except (OverflowError, MemoryError):  # more nodes than a list holds
+        raise ParseError(lineno, f"node count {node_count} is too large") from None
+    for lineno, tokens in body[:edge_count]:
+        if len(tokens) != 2:
+            raise ParseError(lineno, "edge line must be '<u> <v>'")
+        try:
+            u, v = _integer(tokens[0]), _integer(tokens[1])
+        except ValueError:
+            raise ParseError(lineno, "edge endpoints must be integers") from None
+        if u == v:
+            raise ParseError(lineno, f"self-loop at node {u}")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ParseError(lineno, f"edge ({u}, {v}) out of range")
+        if u > v:
+            raise ParseError(lineno, f"edge endpoints must satisfy u < v, got {u} {v}")
+        if (rows[u] >> v) & 1:
+            raise ParseError(lineno, f"duplicate edge ({u}, {v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if len(body) < edge_count:
+        raise ParseError(end, f"expected {edge_count} edge lines, found {len(body)}")
+    attrs = [0] * node_count
     assigned: set[int] = set()
-    header_done = False
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if not header_done:
-            if len(tokens) != 2:
-                raise ParseError(lineno, "header must be '<node count> <edge count>'")
-            try:
-                node_count, edge_target = _integer(tokens[0]), _integer(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, "header values must be integers") from None
-            if node_count < 0 or edge_target < 0:
-                raise ParseError(lineno, "header values must be nonnegative")
-            try:
-                rows = [0] * node_count
-            except (OverflowError, MemoryError):  # more nodes than a list holds
-                raise ParseError(lineno, f"node count {node_count} is too large") from None
-            attrs = [0] * node_count
-            header_done = True
-            continue
-        if edges_seen < edge_target:
-            if len(tokens) != 2:
-                raise ParseError(lineno, "edge line must be '<u> <v>'")
-            try:
-                u, v = _integer(tokens[0]), _integer(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, "edge endpoints must be integers") from None
-            if u == v:
-                raise ParseError(lineno, f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ParseError(lineno, f"edge ({u}, {v}) out of range")
-            if u > v:
-                raise ParseError(lineno, f"edge endpoints must satisfy u < v, got {u} {v}")
-            if (rows[u] >> v) & 1:
-                raise ParseError(lineno, f"duplicate edge ({u}, {v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            edges_seen += 1
-            continue
+    for lineno, tokens in body[edge_count:]:
         if tokens[0] != "attr" or len(tokens) != 3:
             raise ParseError(lineno, "expected 'attr <node> <value>'")
         try:
@@ -531,12 +526,6 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(lineno, f"attribute for node {u} assigned twice")
         assigned.add(u)
         attrs[u] = x
-    if not header_done:
-        raise ParseError(last_line + 1, "missing header line")
-    if edges_seen != edge_target:
-        raise ParseError(
-            last_line + 1, f"expected {edge_target} edge lines, found {edges_seen}"
-        )
     return Graph(node_count, tuple(rows), tuple(attrs))
 
 

@@ -13,7 +13,7 @@ import rnpkit
 from rnpkit import INFINITY, Graph, SplitMix64, UnsupportedSizeError, erdos_renyi
 from rnpkit.counting import MAX_HISTOGRAM_PATTERN_NODES
 from rnpkit.generators import _PAIRING_MAX_ATTEMPTS
-from rnpkit.graphs import _induced_rows, bfs_layers, bits_of
+from rnpkit.graphs import ParseError, _induced_rows, _integer, bfs_layers, bits_of
 
 _SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(rnpkit.__file__)))
 
@@ -294,6 +294,115 @@ def cell_scan_embeddings(adj_p, colors_p, adj_t, colors_t, induced: bool,
 
     backtrack(0, 0)
     return total
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """Parser oracle: the package's ``parse_graph`` as it was when it read
+    the text one line at a time, tracking what each line is in state
+    variables.  Same graphs, errors, messages and line numbers."""
+    node_count = -1
+    edge_target = 0
+    edges_seen = 0
+    rows: list[int] = []
+    attrs: list[int] = []
+    assigned: set[int] = set()
+    header_done = False
+    last_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        last_line = lineno
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if not header_done:
+            if len(tokens) != 2:
+                raise ParseError(lineno, "header must be '<node count> <edge count>'")
+            try:
+                node_count, edge_target = _integer(tokens[0]), _integer(tokens[1])
+            except ValueError:
+                raise ParseError(lineno, "header values must be integers") from None
+            if node_count < 0 or edge_target < 0:
+                raise ParseError(lineno, "header values must be nonnegative")
+            try:
+                rows = [0] * node_count
+            except (OverflowError, MemoryError):  # more nodes than a list holds
+                raise ParseError(lineno, f"node count {node_count} is too large") from None
+            attrs = [0] * node_count
+            header_done = True
+            continue
+        if edges_seen < edge_target:
+            if len(tokens) != 2:
+                raise ParseError(lineno, "edge line must be '<u> <v>'")
+            try:
+                u, v = _integer(tokens[0]), _integer(tokens[1])
+            except ValueError:
+                raise ParseError(lineno, "edge endpoints must be integers") from None
+            if u == v:
+                raise ParseError(lineno, f"self-loop at node {u}")
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise ParseError(lineno, f"edge ({u}, {v}) out of range")
+            if u > v:
+                raise ParseError(lineno, f"edge endpoints must satisfy u < v, got {u} {v}")
+            if (rows[u] >> v) & 1:
+                raise ParseError(lineno, f"duplicate edge ({u}, {v})")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges_seen += 1
+            continue
+        if tokens[0] != "attr" or len(tokens) != 3:
+            raise ParseError(lineno, "expected 'attr <node> <value>'")
+        try:
+            u, x = _integer(tokens[1]), _integer(tokens[2])
+        except ValueError:
+            raise ParseError(lineno, "attribute line values must be integers") from None
+        if not 0 <= u < node_count:
+            raise ParseError(lineno, f"attribute node {u} out of range")
+        if x < 0:
+            raise ParseError(lineno, f"attribute for node {u} must be nonnegative")
+        if u in assigned:
+            raise ParseError(lineno, f"attribute for node {u} assigned twice")
+        assigned.add(u)
+        attrs[u] = x
+    if not header_done:
+        raise ParseError(last_line + 1, "missing header line")
+    if edges_seen != edge_target:
+        raise ParseError(
+            last_line + 1, f"expected {edge_target} edge lines, found {edges_seen}"
+        )
+    return Graph(node_count, tuple(rows), tuple(attrs))
+
+
+# Tokens a graph text may get wrong: signs, underscores, non-ASCII digits,
+# a misplaced ``attr`` or ``#``, non-integers and a node count no list holds.
+_TEXT_TOKENS = ("0", "1", "2", "3", "-1", "+1", "-", "1_0", "\u0661", "\uff12",
+                "attr", "#", "#c", "x", "1.5", "99999999999999999999")
+
+
+@st.composite
+def graph_text_strategy(draw):
+    """Texts near the graph format: a header that may be missing or wrong,
+    edge and attribute lines, then up to four comment, blank or junk lines
+    put anywhere, with whitespace inside and around the lines and LF, CRLF
+    or CR line ends."""
+    small = st.integers(min_value=-1, max_value=4).map(str)
+    pairs = [(str(u), str(v)) for u, v in combinations(range(4), 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    lines = edges + draw(st.lists(st.tuples(st.just("attr"), small, small), max_size=3))
+    if draw(st.integers(min_value=0, max_value=4)):
+        m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines.insert(0, (str(draw(st.sampled_from([0, 3, 4, 4, 5]))), str(m)))
+    extra = st.one_of(
+        st.sampled_from([(), (), ("#", "a", "comment"), ("#2", "1")]),
+        st.tuples(small, small),
+        st.tuples(st.just("attr"), small, small),
+        st.lists(st.sampled_from(_TEXT_TOKENS), max_size=4),
+    )
+    for tokens in draw(st.lists(extra, max_size=4)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), tokens)
+    sep = draw(st.sampled_from([" ", "\t", " \t "]))
+    lines = [draw(st.sampled_from(["", " "])) + sep.join(tokens) for tokens in lines]
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
 def _reference_wl_rounds(g: Graph):

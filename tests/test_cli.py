@@ -1424,6 +1424,28 @@ class TestBrokenPipe:
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+class TestFullOutput:
+    @pytest.mark.parametrize("command", ["gen", "encode", "experiment"])
+    def test_failed_write_is_a_user_error(self, tmp_path, command):
+        # A write to stdout that fails other than by a closed pipe is an
+        # output error, not a bug: one error line and exit 2, with nothing
+        # more when the interpreter flushes stdout at exit.
+        argv = {
+            "gen": ["gen", "er", "--n", "5", "--p", "0.5", "--seed", "1"],
+            "encode": ["encode", write_graph(tmp_path, "c6.txt", cycle(6)), "--radii", "2,1"],
+            "experiment": ["experiment", experiment_spec(tmp_path)],
+        }[command]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "rnpkit.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, env=cli_env("0"), text=True, timeout=60,
+            )
+        assert result.returncode == cli.EXIT_USER_ERROR == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: output: "), result.stderr
+
+
 class TestStartup:
     def test_cli_import_leaves_out_dataclasses(self):
         # dataclasses brings inspect, ast, dis and tokenize: start-up time

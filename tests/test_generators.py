@@ -368,6 +368,21 @@ class TestPrimePartite:
             assert counts[b] == prod(b)
         assert len(set(counts.values())) == len(counts)
 
+    @pytest.mark.parametrize("primes, fillers", [([2], 0), ([3, 2], 1), ([2, 5, 3], 4),
+                                                 ([13, 2, 7, 11], 2)])
+    def test_parts_are_ascending_blocks_joined_across(self, primes, fillers):
+        # Part i is the block of nodes from the sum of the smaller parts and
+        # the fillers lie in none; u < v are adjacent exactly when they lie
+        # in different parts, so the fillers are isolated.
+        parts = sorted(primes)
+        g = prime_partite(primes, sum(parts) + fillers)
+        part = {}
+        for i, p in enumerate(parts):
+            part.update((v, i) for v in range(sum(parts[:i]), sum(parts[: i + 1])))
+        for u, v in combinations(range(g.node_count), 2):
+            joined = u in part and v in part and part[u] != part[v]
+            assert g.has_edge(u, v) == joined, (u, v)
+
     def test_fillers_are_isolated(self):
         g = prime_partite([2, 3], 10)
         assert all(g.degree(v) == 0 for v in range(5, 10))

@@ -34,10 +34,12 @@ from conftest import (
     cell_scan_embeddings,
     disjoint_union,
     graph_strategy,
+    graph_text_strategy,
     induced_subgraph,
     neighborhood,
     reference_embeddings,
     reference_layer_sizes,
+    reference_parse_graph,
     reference_search_plan,
     seeded_graph,
     seeded_permutation,
@@ -617,6 +619,24 @@ class TestTextFormat:
     def test_round_trip_property(self, g):
         assert parse_graph(serialize_graph(g)) == g
 
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph_text_strategy())
+    @example("")
+    @example("\r\n# c\r\n")
+    @example("2 1\r\n\r\n0 1\r\nattr 1 3")
+    @example("2 3\n0 1\n# c\n")
+    def test_parser_matches_reference(self, text):
+        # The same graph as the line-at-a-time parser, or the same error,
+        # message and line.
+        try:
+            expected = reference_parse_graph(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_graph(text)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        else:
+            assert parse_graph(text) == expected
 
 class TestUtilities:
     def test_disjoint_union_counts(self):
