@@ -410,12 +410,6 @@ def _embeddings(
     return _search(back, masks, adj_t, induced, first)
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Attribute-preserving isomorphism test (exact backtracking; small graphs)."""
-    return bool(_embeddings(g.adjacency, g.attributes, h.adjacency, h.attributes,
-                            True, first=True))
-
-
 class IsomorphismClasses:
     """An index of the attribute-preserving isomorphism classes of the
     graphs it is shown, numbered from 0 in order of first appearance.
@@ -452,6 +446,12 @@ class IsomorphismClasses:
         bucket.append((self._size, g.adjacency, colors))
         self._size += 1
         return self._size - 1, len(bucket) - 1
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Attribute-preserving isomorphism test: ``h`` joins ``g``'s class in a new index."""
+    classes = IsomorphismClasses()
+    return classes.classify(g)[0] == classes.classify(h)[0]
 
 
 def _integer(token: str) -> int:

@@ -66,6 +66,24 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     return perm
 
 
+def rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph.
+
+    Both are strongly regular with parameters (16, 6, 2, 2), so they share
+    their 1-WL certificate and memo key; only the rook's graph has a K4.
+    """
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    rook, shrikhande = [], []
+    for (a, b), (c, d) in combinations(cells, 2):
+        edge = (4 * a + b, 4 * c + d)
+        if a == c or b == d:
+            rook.append(edge)
+        if ((c - a) % 4, (d - b) % 4) in steps:
+            shrikhande.append(edge)
+    return Graph.from_edges(16, rook), Graph.from_edges(16, shrikhande)
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     shift = a.node_count
     rows = list(a.adjacency) + [row << shift for row in b.adjacency]

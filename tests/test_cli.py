@@ -47,6 +47,7 @@ from conftest import (
     disjoint_union,
     graph_strategy,
     reference_wl_histogram,
+    rook_and_shrikhande,
 )
 
 
@@ -188,6 +189,13 @@ class TestCount:
         assert payload["count"] == 4
         assert payload["mode"] == "noninduced"
         assert payload["schema"] == "rnp-kit/1"
+
+    def test_eight_node_pattern_is_accepted(self, tmp_path):
+        g = write_graph(tmp_path, "k10.txt", complete(10))
+        h = write_graph(tmp_path, "k8.txt", complete(8))
+        code, text = run(["count", g, h])
+        assert code == 0
+        assert json.loads(text)["count"] == 45
 
 
 class TestDistinguish:
@@ -505,24 +513,6 @@ def memo_free(records):
         {k: v for k, v in r._asdict().items() if k not in ("hit", "tests_failed")}
         for r in records
     ]
-
-
-def rook_and_shrikhande():
-    """The 4x4 rook's graph and the Shrikhande graph.
-
-    Both are strongly regular with parameters (16, 6, 2, 2), so they share
-    their 1-WL certificate and memo key; only the rook's graph has a K4.
-    """
-    cells = [(i, j) for i in range(4) for j in range(4)]
-    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    rook, shrikhande = [], []
-    for (a, b), (c, d) in combinations(cells, 2):
-        edge = (4 * a + b, 4 * c + d)
-        if a == c or b == d:
-            rook.append(edge)
-        if ((c - a) % 4, (d - b) % 4) in steps:
-            shrikhande.append(edge)
-    return Graph.from_edges(16, rook), Graph.from_edges(16, shrikhande)
 
 
 @st.composite
@@ -943,25 +933,21 @@ class TestMemoKey:
     @example(disjoint_union(cycle(6), complete(1)), 3, [0])
     @example(pattern("figure2_pair")[0], 4, [])
     def test_key_is_invariant_and_hit_test_is_exact(self, g, seed, flips):
+        # are_isomorphic(x, y) asks whether y joins x's class in a fresh
+        # index; canonical codes, equal iff isomorphic, share no code with it.
         n = g.node_count
         pairs = list(combinations(range(n), 2))
-
-        def hit(x, y):
-            # y falls in x's class in a fresh index.
-            classes = IsomorphismClasses()
-            classes.classify(x)
-            return classes.classify(y)[0] == 0
-
         # A relabelled copy must hit, so the bucket key is invariant.
         copy = permuted(g, shuffled(n, seed))
-        assert hit(g, copy) and are_isomorphic(g, copy)
+        assert are_isomorphic(g, copy) and are_isomorphic(copy, g)
         # A few flipped edges, relabelled, and the same edges with the
         # attributes moved: often isomorphic or sharing the key.
         flipped = permuted(toggled(g, [pairs[i % len(pairs)] for i in flips if pairs]),
                            shuffled(n, seed + 1))
         moved = Graph(n, g.adjacency, tuple(g.attributes[v] for v in shuffled(n, seed + 2)))
         for other in (flipped, moved):
-            assert hit(g, other) == are_isomorphic(g, other) == hit(other, g)
+            expected = canonical_code(g) == canonical_code(other)
+            assert are_isomorphic(g, other) == expected == are_isomorphic(other, g)
 
     def test_classes_sharing_a_key_are_tested_in_order(self):
         # The rook's and Shrikhande graphs share a bucket: a relabelled

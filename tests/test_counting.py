@@ -180,8 +180,10 @@ def _edge_count_partners(k):
 
 
 class TestMatcherAgainstPermutations:
-    """automorphism_count, are_isomorphic and count_noninduced share one
-    backtracking matcher; a permutation oracle with no pruning checks it."""
+    """automorphism_count and count_noninduced share one backtracking
+    matcher, and are_isomorphic asks the isomorphism-class index, whose
+    search colours nodes by BFS layer sizes instead; a permutation oracle
+    with no pruning checks all three."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_every_labelled_graph(self, k):
@@ -393,6 +395,13 @@ class TestPatternCensus:
 
     def test_no_patterns(self):
         assert PatternCensus([], "induced").counts(Graph.from_edges(70)) == ()
+
+    def test_eight_node_patterns_are_accepted(self):
+        # MAX_PATTERN_NODES = 8 is a largest allowed size, not a first rejected one.
+        assert count_induced(complete(10), complete(8)) == 45
+        assert PatternCensus([complete(8)]).counts(complete(10)) == (45,)
+        assert count_noninduced(complete(8), cycle(8)) == 2520  # 8! / 16 automorphisms
+        assert PatternCensus([path(8)], "noninduced").counts(cycle(8)) == (8,)
 
     def test_size_guards_match_oracles(self):
         with pytest.raises(UnsupportedSizeError, match="pattern has 9 nodes, limit is 8"):

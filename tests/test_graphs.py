@@ -13,6 +13,7 @@ from rnpkit import (
     UnsupportedSizeError,
     are_isomorphic,
     complete,
+    count_noninduced,
     cycle,
     enumerate_connected_graphs,
     is_connected,
@@ -20,6 +21,7 @@ from rnpkit import (
     parse_graph,
     path,
     permuted,
+    random_regular_perturbed,
     serialize_graph,
     two_triangles,
     update_bound,
@@ -41,6 +43,7 @@ from conftest import (
     reference_layer_sizes,
     reference_parse_graph,
     reference_search_plan,
+    rook_and_shrikhande,
     seeded_graph,
     seeded_permutation,
     wide_sparse_graph_strategy,
@@ -338,6 +341,38 @@ class TestIsomorphism:
         h = permuted(g, seeded_permutation(6, 1))
         k = permuted(h, seeded_permutation(6, 2))
         assert are_isomorphic(g, h) and are_isomorphic(h, k) and are_isomorphic(g, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=5, max_value=100).map(lambda half: 2 * half),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(100, 0, 1, 2)
+    @example(200, 0, 1, 2)
+    @example(64, 0, 3, 4)
+    def test_regular_hosts(self, n, delete, seed, other_seed):
+        # Every node of a 3-regular graph shares one (attribute, degree)
+        # cell, so a search over those cells alone is exponential here.
+        g = random_regular_perturbed(n, 3, delete, seed)
+        copy = permuted(g, seeded_permutation(n, seed))
+        assert are_isomorphic(g, copy) and are_isomorphic(copy, g)
+        other = random_regular_perturbed(n, 3, delete, other_seed)
+        answer = are_isomorphic(g, other)
+        assert answer == are_isomorphic(other, g)
+        if n <= 64 and any(count_noninduced(g, c) != count_noninduced(other, c)
+                           for c in (cycle(4), cycle(5))):
+            assert not answer
+
+    def test_rook_and_shrikhande(self):
+        # Strongly regular with equal parameters: equal BFS layer sizes at
+        # every node, told apart only by the exact search.
+        rook, shrikhande = rook_and_shrikhande()
+        assert not are_isomorphic(rook, shrikhande)
+        assert not are_isomorphic(shrikhande, rook)
+        for seed, g in enumerate((rook, shrikhande)):
+            assert are_isomorphic(g, permuted(g, seeded_permutation(16, seed)))
 
 
 @st.composite
