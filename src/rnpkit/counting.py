@@ -30,6 +30,7 @@ from .graphs import (
 MAX_PATTERN_NODES = 8
 MAX_HOST_NODES = 64
 MAX_HISTOGRAM_PATTERN_NODES = 5
+_ID_SHIFT = MAX_HISTOGRAM_PATTERN_NODES * (MAX_HISTOGRAM_PATTERN_NODES - 1) // 2
 
 
 def _check_pattern_size(h: Graph) -> None:
@@ -95,37 +96,38 @@ def count_noninduced(g: Graph, h: Graph) -> int:
 
 
 def _connected_census(
-    g: Graph, sizes: Iterable[int]
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Tally of g's connected induced subgraphs of the given sizes (each
-    at least 1), keyed by the labelled subgraph with its nodes in the order
-    ESU adds them: (back-masks, attrs).  The back-mask of position i holds
-    the earlier positions adjacent to it, and sits at bit offset i(i-1)/2
-    of one int (``_key_rows`` turns it back into adjacency rows).  A key's
-    size is the length of its attrs.
+    g: Graph, sizes: Iterable[int], ids: Sequence[int], width: int
+) -> dict[int, dict[int, int]]:
+    """Tallies, one per size in ``sizes`` (1 to MAX_HISTOGRAM_PATTERN_NODES),
+    of g's connected induced subgraphs, keyed by one int that packs the
+    labelled subgraph with its nodes in the order ESU adds them.  The
+    back-mask of position i holds the earlier positions adjacent to it and
+    sits at bit i(i-1)/2, below _ID_SHIFT; its node v's id ``ids[v]``, of
+    ``width`` bits, sits at bit _ID_SHIFT + i * width.
 
     ESU (Wernicke 2006, "Efficient detection of network motifs") reaches
     each connected subset exactly once: a subset grows from its smallest
     node, and each added node brings in only its neighbours above that
     node which are not yet in or next to the subset.  The tree does not
     depend on the sizes, so each size is tallied at its own depth of one
-    enumeration.  The key grows with the subset, one back-mask per node.
+    enumeration.  The key grows with the subset, one back-mask and id per node.
     """
     adjacency = g.adjacency
-    attributes = g.attributes
-    sizes = set(sizes)
-    deepest = max(sizes, default=0)
-    tally: dict[tuple[int, tuple[int, ...]], int] = {}
+    tallies: dict[int, dict[int, int]] = {k: {} for k in sizes}
+    deepest = max(tallies, default=0)
     position = [0] * g.node_count  # a subset node -> its bit in the back-masks
+    # labels[i][v]: v's id, shifted to position i
+    labels = [[x << _ID_SHIFT + i * width for x in ids] for i in range(deepest)]
 
     def extend(extension: int, closed: int, above: int, members: int,
-               back: int, attrs: tuple[int, ...]) -> None:
-        # closed: the subset and all its neighbours
-        i = len(attrs)  # the position of each node added here
-        counted = i + 1 in sizes
+               key: int, i: int) -> None:
+        # closed: the subset and all its neighbours; i: the position of
+        # each node added here
+        tally = tallies.get(i + 1)
         last = i + 1 == deepest
         bit = 1 << i
         offset = i * (i - 1) // 2
+        label = labels[i]
         while extension:
             low = extension & -extension
             extension ^= low
@@ -139,23 +141,22 @@ def _connected_census(
                 low_u = adjacent & -adjacent
                 mask |= position[low_u.bit_length() - 1]
                 adjacent ^= low_u
-            key = (back | mask << offset, attrs + (attributes[w],))
-            if counted:
-                tally[key] = tally.get(key, 0) + 1
+            grown = key | mask << offset | label[w]
+            if tally is not None:
+                tally[grown] = tally.get(grown, 0) + 1
             if not last:
                 position[w] = bit
                 extend(extension | (adj_w & ~closed & above), closed | adj_w, above,
-                       members | low, *key)
+                       members | low, grown, i + 1)
 
     for v in range(g.node_count):
-        root = (0, (attributes[v],))
-        if 1 in sizes:
-            tally[root] = tally.get(root, 0) + 1
+        if 1 in tallies:
+            tallies[1][labels[0][v]] = tallies[1].get(labels[0][v], 0) + 1
         if deepest > 1:
             position[v] = 1
             above = -1 << (v + 1)
-            extend(adjacency[v] & above, adjacency[v] | (1 << v), above, 1 << v, *root)
-    return tally
+            extend(adjacency[v] & above, adjacency[v] | 1 << v, above, 1 << v, labels[0][v], 1)
+    return tallies
 
 
 def _key_rows(back: int, size: int) -> tuple[int, ...]:
@@ -178,10 +179,12 @@ class PatternCensus:
     pattern.  h's count is the sum over the census's labelled subgraphs K
     of tally[K] * term(K, h), h's maps onto K (induced or not, as the
     mode) over its automorphism count: 1 or 0 as K is or is not
-    isomorphic to h when induced, h's non-induced count in K otherwise.  Terms are kept per K, under its
-    census key, for the life of the object; the size cap bounds them (at
-    most 1, 1, 4, 38 and 728 labelled connected graphs on 1 to 5 nodes for
-    an unattributed host).
+    isomorphic to h when induced, h's non-induced count in K otherwise.
+    Attributes get ids in order of first appearance, of (ids - 1).bit_length()
+    bits in a host's keys.  Terms are kept for the life of the object, per K
+    under its key in a table per (size, id width), so no key names two
+    subgraphs; the size cap bounds them (at most 1, 1, 4, 38 and 728
+    labelled connected graphs on 1 to 5 nodes for an unattributed host).
     Other patterns go to the oracles.
     """
 
@@ -203,26 +206,41 @@ class PatternCensus:
                 self._automorphisms[i] = automorphism_count(h)
             else:
                 self._oracle.append(i)
-        # census key (back-masks, attrs) -> one term per pattern of its size
-        self._terms: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._ids: dict[int, int] = {}  # attribute -> id
+        # (size, id width) -> census key -> one term per pattern of its size
+        self._terms: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
     def counts(self, g: Graph) -> tuple[int, ...]:
         """One count per pattern, equal to count_induced / count_noninduced."""
         if self._patterns:
             _check_host_size(g)
         counts = [0] * len(self._patterns)
-        for key, seen in _connected_census(g, self._by_size).items():
-            back, attrs = key
-            members = self._by_size[len(attrs)]
-            terms = self._terms.get(key)
-            if terms is None:
-                subgraph = (_key_rows(back, len(attrs)), attrs)
-                terms = self._terms[key] = tuple(self._term(i, subgraph) for i in members)
-            for i, term in zip(members, terms):
-                counts[i] += seen * term
+        width, tallies = self._census(g)
+        for size, tally in tallies.items():
+            members = self._by_size[size]
+            known = self._terms.setdefault((size, width), {})
+            for key, seen in tally.items():
+                terms = known.get(key)
+                if terms is None:
+                    subgraph = self._decode(key, size, width)
+                    terms = known[key] = tuple(self._term(i, subgraph) for i in members)
+                for i, term in zip(members, terms):
+                    counts[i] += seen * term
         for i in self._oracle:
             counts[i] = self._oracle_count(g, self._patterns[i])
         return tuple(counts)
+
+    def _census(self, g: Graph) -> tuple[int, dict[int, dict[int, int]]]:
+        """The id width of g's keys, and g's tallies per pattern size."""
+        labels = [self._ids.setdefault(x, len(self._ids)) for x in g.attributes]
+        width = (len(self._ids) - 1).bit_length()
+        return width, _connected_census(g, self._by_size, labels, width)
+
+    def _decode(self, key: int, size: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The adjacency rows and attributes of the labelled subgraph ``key`` names."""
+        values, ids = list(self._ids), key >> _ID_SHIFT
+        return _key_rows(key, size), tuple(
+            values[ids >> i * width & (1 << width) - 1] for i in range(size))
 
     def _term(self, i: int, subgraph: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         h = self._patterns[i]

@@ -420,14 +420,15 @@ class IsomorphismClasses:
     graph's sorted ids are its key; keys match only at equal n, where the
     nodes out of reach add nothing.  The key only picks a bucket of
     earlier classes: a class is found by the exact search with the ids as
-    colours, in bucket order, from a plan cached per class, and the equal
-    key already makes the colour-multiset check.
+    colours, in bucket order, from the class's own plan, made at its first
+    test and kept out of ``_search_plan``'s cache, which then holds none of
+    the index's graphs; the equal key already makes the colour-multiset check.
     """
 
     def __init__(self) -> None:
         self._invariant_ids: dict[tuple, int] = {}
-        # key -> [(class, representative's rows, its ids)]
-        self._buckets: dict[tuple[int, ...], list[tuple[int, tuple, tuple]]] = {}
+        # key -> [[class, representative's rows, its ids, its plan or None]]
+        self._buckets: dict[tuple[int, ...], list[list]] = {}
         self._size = 0
 
     def classify(self, g: Graph) -> tuple[int, int]:
@@ -439,11 +440,13 @@ class IsomorphismClasses:
         bucket = self._buckets.setdefault(tuple(sorted(colors)), [])
         if bucket:
             cells = _cell_masks(colors)
-            for tests_failed, (index, adjacency, known) in enumerate(bucket):
-                _, back, keys = _search_plan(adjacency, known)
+            for tests_failed, entry in enumerate(bucket):
+                if entry[3] is None:
+                    entry[3] = _search_plan.__wrapped__(entry[1], entry[2])[1:]
+                back, keys = entry[3]
                 if _search(back, [cells[x] for x in keys], g.adjacency, True, True):
-                    return index, tests_failed
-        bucket.append((self._size, g.adjacency, colors))
+                    return entry[0], tests_failed
+        bucket.append([self._size, g.adjacency, colors, None])
         self._size += 1
         return self._size - 1, len(bucket) - 1
 

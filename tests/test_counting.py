@@ -25,7 +25,7 @@ from rnpkit import (
     star,
     two_triangles,
 )
-from rnpkit.counting import _connected_census, _key_rows
+from rnpkit.counting import _key_rows
 
 from conftest import (
     all_graphs,
@@ -335,7 +335,7 @@ class TestPatternCensus:
             g = erdos_renyi(10, 0.3, seed)
             assert census.counts(g) == _oracle_counts(g, CENSUS_PATTERNS, mode)
         # one entry per labelled connected graph seen: 1 + 1 + 4 + 38 + 728 at most
-        assert len(census._terms) <= 772
+        assert sum(map(len, census._terms.values())) <= 772
 
     @settings(max_examples=150, deadline=None)
     @given(graph_strategy(max_nodes=7, attributed=True))
@@ -350,23 +350,58 @@ class TestPatternCensus:
             assert PatternCensus([cycle(4), path(5)], mode).counts(complete(3)) == (0, 0)
 
     def test_census_visits_each_connected_subset_once(self):
+        hosts = []
         for seed in range(6):
             g = seeded_graph(9, 0.3, 400 + seed)
-            census = _connected_census(g, range(1, 6))
-            assert {len(attrs) for _, attrs in census} <= set(range(1, 6))
+            rng = SplitMix64(seed)
+            hosts += [g, Graph(9, g.adjacency, tuple(rng.below(3) for _ in range(9)))]
+        for g in hosts:
+            # one pattern of each census size, so the census tallies them all
+            census = PatternCensus([path(k) for k in range(1, 6)])
+            width, tallies = census._census(g)
+            assert set(tallies) == set(range(1, 6))
             for k in range(1, 6):
                 connected = [
                     sub for sub in (induced_subgraph(g, s)[0] for s in combinations(range(9), k))
                     if is_connected(sub)
                 ]
-                tally = {key: seen for key, seen in census.items() if len(key[1]) == k}
-                assert _connected_census(g, [k]) == tally
+                tally = tallies[k]
+                assert PatternCensus([path(k)])._census(g) == (width, {k: tally})
                 assert sum(tally.values()) == len(connected)
                 # every class at once, by canonical code rather than the matcher
                 by_code = Counter()
-                for (back, attrs), seen in tally.items():
-                    by_code[canonical_code(Graph(k, _key_rows(back, k), attrs))] += seen
+                for key, seen in tally.items():
+                    rows, attrs = census._decode(key, k, width)
+                    by_code[canonical_code(Graph(k, rows, attrs))] += seen
                 assert by_code == Counter(canonical_code(sub) for sub in connected)
+
+    def test_id_width_grows_across_hosts(self):
+        # One census per mode meets hosts whose attribute values take its
+        # ids from 1 to 5, so its keys' id width goes 0, 1, 2, 2, 3; then
+        # the first host again, at width 3, and a 64-node attributed host.
+        patterns = [
+            Graph.from_edges(1, [], [3]),
+            Graph.from_edges(2, [(0, 1)], [0, 4]),
+            Graph.from_edges(3, [(0, 1), (1, 2)], [1, 0, 2]),
+            complete(3),
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], [0, 1, 0, 2]),
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], [4, 3, 1, 4]),
+        ]
+        first = erdos_renyi(8, 0.5, 90)
+        hosts = [first]
+        for values in range(2, 6):
+            rng = SplitMix64(values)
+            attrs = [rng.below(values) for _ in range(8)]
+            attrs[values] = values - 1  # the new value
+            hosts.append(Graph(8, erdos_renyi(8, 0.5, 90 + values).adjacency, tuple(attrs)))
+        rng = SplitMix64(64)
+        big = erdos_renyi(64, 0.08, 64)
+        hosts += [first, Graph(64, big.adjacency, tuple(rng.below(5) for _ in range(64)))]
+        for mode in ("induced", "noninduced"):
+            census = PatternCensus(patterns, mode)
+            for g in hosts:
+                assert census.counts(g) == _oracle_counts(g, patterns, mode)
+            assert {width for _, width in census._terms} == {0, 1, 2, 3}
 
     @settings(max_examples=200, deadline=None)
     @given(graph_strategy(max_nodes=5, attributed=True))

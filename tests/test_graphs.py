@@ -365,6 +365,16 @@ class TestIsomorphism:
                            for c in (cycle(4), cycle(5))):
             assert not answer
 
+    def test_classes_keep_their_own_plans(self):
+        # A class's plan lives in its index, not in the process-wide plan
+        # cache, so a loop over distinct large hosts keeps none of them.
+        before = _search_plan.cache_info().currsize
+        for seed in range(5):
+            g = random_regular_perturbed(200, 3, 0, seed)
+            assert are_isomorphic(g, g)
+            assert are_isomorphic(g, permuted(g, seeded_permutation(200, seed)))
+        assert _search_plan.cache_info().currsize == before
+
     def test_rook_and_shrikhande(self):
         # Strongly regular with equal parameters: equal BFS layer sizes at
         # every node, told apart only by the exact search.
