@@ -9,8 +9,10 @@ subset for isomorphism and counts both the homomorphisms and the
 automorphisms.  ``PatternCensus`` counts a fixed list of patterns in
 many hosts from one connected-subset enumeration per host, for all
 pattern sizes at once, weighing each labelled subgraph it finds with the
-same matcher, and tests check it against the oracles.  Attribute
-matching is exact equality throughout.
+same matcher.  It serves both ``rnpkit count`` and ``rnpkit experiment``;
+the oracles are its fallback for the patterns it does not enumerate and
+the tests' reference for it.  Attribute matching is exact equality
+throughout.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, IsomorphismClasses, UnsupportedSizeError, bits_of, component_mask
+from .graphs import Graph, IsomorphismClasses, UnsupportedSizeError, bits_of, is_connected
 from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
@@ -297,18 +297,10 @@ def enumerate_connected_graphs(k: int) -> tuple[Graph, ...]:
             f"enumeration supports at most {MAX_ENUMERATION_NODES} nodes, got {k}"
         )
     pairs = list(combinations(range(k), 2))
-    full = (1 << k) - 1
     classes: list[Graph] = []
     index = IsomorphismClasses()
     for bitmask in range(1 << len(pairs)):
-        rows = [0] * k
-        for i, (u, v) in enumerate(pairs):
-            if (bitmask >> i) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        if k > 1 and component_mask(tuple(rows), full, 0) != full:
-            continue
-        g = Graph(k, tuple(rows), (0,) * k)
-        if index.classify(g)[0] == len(classes):
+        g = Graph.from_edges(k, [pair for i, pair in enumerate(pairs) if bitmask >> i & 1])
+        if is_connected(g) and index.classify(g)[0] == len(classes):
             classes.append(g)
     return tuple(classes)

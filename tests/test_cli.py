@@ -23,6 +23,7 @@ from rnpkit import (
     count_noninduced,
     cycle,
     encoding_digest,
+    enumerate_connected_graphs,
     erdos_renyi,
     family_covering_sequence,
     parse_graph,
@@ -37,7 +38,7 @@ from rnpkit import (
     two_triangles,
     update_bound,
 )
-from rnpkit import cli, generators
+from rnpkit import cli, counting, generators
 from rnpkit.cli import main
 from rnpkit.graphs import IsomorphismClasses
 
@@ -167,7 +168,83 @@ class TestCover:
         assert code == 2
 
 
+def with_attributes(g, values, seed):
+    rng = SplitMix64(seed)
+    return Graph(g.node_count, g.adjacency, tuple(rng.below(values) for _ in range(g.node_count)))
+
+
+# Connected patterns of 1 to 5 nodes, which the pattern census counts.
+CENSUS_PATTERNS = [
+    *(h for k in range(1, 6) for h in enumerate_connected_graphs(k)),
+    Graph(1, (0,), (2,)),
+    Graph(3, path(3).adjacency, (0, 1, 0)),
+    Graph(4, cycle(4).adjacency, (1, 0, 1, 0)),
+    Graph(5, path(5).adjacency, (2, 0, 1, 0, 2)),
+]
+# Empty, disconnected and 6- to 8-node patterns, which it leaves to the oracles.
+ORACLE_PATTERNS = [
+    Graph(0, (), ()),
+    disjoint_union(path(2), path(1)),
+    Graph(3, (0, 0, 0), (0, 1, 2)),
+    two_triangles(),
+    cycle(6),
+    Graph(7, path(7).adjacency, (0, 1, 2, 0, 1, 2, 0)),
+    complete(8),
+]
+# host -> the largest pattern the brute-force induced oracle counts in it quickly
+COUNT_HOSTS = {
+    "er10": (erdos_renyi(10, 0.4, 3), 8),
+    "er12_attributed": (with_attributes(erdos_renyi(12, 0.35, 4), 3, 5), 8),
+    "regular64": (random_regular_perturbed(64, 3, 0, 1), 3),
+    "regular64_attributed": (with_attributes(random_regular_perturbed(64, 3, 0, 2), 2, 6), 3),
+    "path4": (path(4), 8),  # smaller than most patterns
+}
+
+
 class TestCount:
+    @pytest.mark.parametrize("host", sorted(COUNT_HOSTS))
+    def test_counts_equal_the_oracles(self, tmp_path, monkeypatch, host):
+        # The command asks the pattern census, which calls the oracles for
+        # exactly the patterns it does not count itself.
+        def unused(*args):
+            raise AssertionError("count called an oracle bound in rnpkit.cli")
+
+        monkeypatch.setattr(cli, "count_induced", unused)
+        monkeypatch.setattr(cli, "count_noninduced", unused)
+        oracle_calls = []
+        for name in ("count_induced", "count_noninduced"):
+            oracle = getattr(counting, name)
+            monkeypatch.setattr(counting, name,
+                                lambda g, h, oracle=oracle: oracle_calls.append(h) or oracle(g, h))
+        g, largest = COUNT_HOSTS[host]
+        graph = write_graph(tmp_path, "host.txt", g)
+        for route, patterns in (("census", CENSUS_PATTERNS), ("oracle", ORACLE_PATTERNS)):
+            for i, h in enumerate(patterns):
+                if h.node_count > largest:
+                    continue
+                pat = write_graph(tmp_path, f"{route}{i}.txt", h)
+                for mode, oracle in (("induced", count_induced), ("noninduced", count_noninduced)):
+                    oracle_calls.clear()
+                    code, text = run(["count", graph, pat, "--mode", mode])
+                    assert code == 0
+                    payload = json.loads(text)
+                    assert list(payload) == ["schema", "pattern", "mode", "count"]
+                    assert payload == {"schema": "rnp-kit/1", "pattern": pat, "mode": mode,
+                                       "count": oracle(g, h)}, (route, i, mode)
+                    assert oracle_calls == ([h] if route == "oracle" else []), (route, i, mode)
+
+    @pytest.mark.parametrize("host, pattern, message", [
+        (cycle(65), path(3), "host has 65 nodes, limit is 64"),
+        (cycle(10), path(9), "pattern has 9 nodes, limit is 8"),
+    ])
+    def test_size_caps_are_user_errors(self, tmp_path, capsys, host, pattern, message):
+        g = write_graph(tmp_path, "host.txt", host)
+        h = write_graph(tmp_path, "pattern.txt", pattern)
+        for mode in ("induced", "noninduced"):
+            code, text = run(["count", g, h, "--mode", mode])
+            assert (code, text) == (2, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_triangles_in_k5(self, tmp_path):
         g = write_graph(tmp_path, "k5.txt", complete(5))
         h = write_graph(tmp_path, "k3.txt", complete(3))
