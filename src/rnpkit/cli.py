@@ -158,27 +158,24 @@ def _cmd_count(args) -> dict:
     return {"pattern": args.pattern, "mode": args.mode, "count": count}
 
 
-def _printable_bound(graph: Graph, radii: Sequence[int], where: str = "") -> int:
-    """``update_bound``, or a user error prefixed by ``where`` when the bound
-    has more digits than Python converts to text."""
+def _encoded(graph: Graph, radii: Sequence[int],
+             where: str = "") -> tuple[Iterable[bytes], int, int]:
+    """The graph's node encodings, its node updates and its ``update_bound``.
+    A bound with more digits than Python converts to text is a user error,
+    prefixed by ``where`` and raised before anything is encoded."""
     bound = update_bound(graph, radii)
     try:
         str(bound)
     except ValueError:
         raise UserError(f"{where}the n * c**tau update bound is too large to print") from None
-    return bound
+    encodings, counter = rnp_encode_nodes(graph, radii)
+    return encodings.values(), counter.invocations, bound
 
 
 def _cmd_encode(args) -> dict:
     graph = _load_graph(args.graph)
-    radii = _parse_counts(args.radii, "radii")
-    bound = _printable_bound(graph, radii)
-    encodings, counter = rnp_encode_nodes(graph, radii)
-    return {
-        "digest": encoding_digest(graph_readout(encodings.values())),
-        "updates": counter.invocations,
-        "bound": bound,
-    }
+    encodings, updates, bound = _encoded(graph, _parse_counts(args.radii, "radii"))
+    return {"digest": encoding_digest(graph_readout(encodings)), "updates": updates, "bound": bound}
 
 
 def _cmd_distinguish(args) -> dict:
@@ -190,11 +187,8 @@ def _cmd_distinguish(args) -> dict:
 
 def _cmd_complexity(args) -> dict:
     graph = _load_graph(args.graph)
-    radii = _parse_counts(args.radii, "radii")
-    bound = _printable_bound(graph, radii)
-    _, counter = rnp_encode_nodes(graph, radii)
-    ratio = counter.invocations / bound if bound else 0.0
-    return {"updates": counter.invocations, "bound": bound, "ratio": ratio}
+    _, updates, bound = _encoded(graph, _parse_counts(args.radii, "radii"))
+    return {"updates": updates, "bound": bound, "ratio": updates / bound if bound else 0.0}
 
 
 _SPEC_KEYS = {"generator", "trials", "base_seed", "patterns", "radii", "checks", "mode"}
@@ -370,8 +364,8 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
                 wl_distinct = certificate not in certificates
                 certificates.add(certificate)
             counts = census.counts(graph)
-            encodings, counter = rnp_encode_nodes(graph, radii)
-            encoding = graph_readout(encodings.values())
+            encodings, updates, bound = _encoded(graph, radii, f"trial {trial} (seed {seed}): ")
+            encoding = graph_readout(encodings)
             digest = encoding_digest(encoding)
             same_digest = by_digest.setdefault(digest, [])
             tally = next((t for first, t in same_digest
@@ -380,13 +374,7 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
                 tally = {}
                 same_digest.append((graph, tally))
             del encodings, encoding  # not held while the next miss encodes
-            class_columns.append((
-                counts,
-                tally,
-                digest[:16],
-                counter.invocations,
-                _printable_bound(graph, radii, f"trial {trial} (seed {seed}): "),
-            ))
+            class_columns.append((counts, tally, digest[:16], updates, bound))
         counts, tally, digest, updates, bound = class_columns[index]
         record = TrialRecord(seed, graph, counts, digest, updates, bound,
                              not tally, wl_distinct,

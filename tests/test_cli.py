@@ -396,6 +396,10 @@ class TestNumberLists:
         assert json.loads(text)["bound"] == 216
 
 
+def _encoder_never_called(*args):
+    pytest.fail("a graph whose update bound does not print was encoded")
+
+
 @pytest.fixture
 def digit_limit():
     """Python's int-to-str limit, pinned at its default of 4,300 digits."""
@@ -411,10 +415,14 @@ class TestComplexityAndEncode:
     # P3 under tau radii of 1 has bound 3 * 3**tau: 4,300 digits at tau =
     # 9,011, which prints, and 4,301 at tau = 9,012, which does not.
     @pytest.mark.parametrize("command", ["encode", "complexity"])
-    def test_unprintable_bound_is_user_error(self, tmp_path, capsys, digit_limit, command):
+    def test_unprintable_bound_is_user_error(
+        self, tmp_path, capsys, monkeypatch, digit_limit, command
+    ):
         g = write_graph(tmp_path, "p3.txt", path(3))
         code, text = run([command, g, "--radii", ",".join(["1"] * 9011)])
         assert code == 0 and json.loads(text)["bound"] == 3**9012
+        # The bound is checked before anything is encoded.
+        monkeypatch.setattr(cli, "rnp_encode_nodes", _encoder_never_called)
         for tau in (9012, 10_000):
             assert run([command, g, "--radii", ",".join(["1"] * tau)]) == (2, "")
             err = capsys.readouterr().err
@@ -1198,11 +1206,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "trial 0 (seed 1): the pairing model drew no simple 7-regular graph" in err
 
-    def test_unprintable_bound_names_its_trial(self, tmp_path, capsys, digit_limit):
+    def test_unprintable_bound_names_its_trial(self, tmp_path, capsys, monkeypatch, digit_limit):
         spec = experiment_spec(
             tmp_path, generator={"kind": "er", "n": 6, "p": 0.5}, trials=2, base_seed=3,
             patterns=[], radii=[1] * 10_000, checks=[],
         )
+        # A miss's bound is checked before the miss is encoded.
+        monkeypatch.setattr(cli, "rnp_encode_nodes", _encoder_never_called)
         code, text = run(["experiment", spec])
         assert code == 2 and text.count("\n") == 1  # the header only
         err = capsys.readouterr().err

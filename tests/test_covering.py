@@ -19,6 +19,7 @@ from rnpkit import (
     star,
     two_triangles,
     SplitMix64,
+    UnsupportedSizeError,
 )
 
 from conftest import seeded_connected_graph, seeded_permutation
@@ -47,6 +48,11 @@ class TestCoveringDistance:
             with pytest.raises(ValueError, match=f"node {v} out of range"):
                 covering_distance(path(3), v, {0})
 
+    def test_rejects_member_out_of_range(self):
+        for u in (-1, 3):
+            with pytest.raises(ValueError, match=f"node {u} out of range"):
+                covering_distance(path(3), 0, {0, u})
+
 
 class TestVertexCoveringSequence:
     def test_triangle(self):
@@ -66,6 +72,10 @@ class TestVertexCoveringSequence:
     def test_non_permutation(self):
         with pytest.raises(ValueError):
             is_vertex_covering_sequence(complete(3), (0, 0, 2), (1, 1))
+
+    def test_rejects_negative_radii(self):
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            is_vertex_covering_sequence(complete(3), (0, 1, 2), (1, -1))
 
     def test_empty_pattern_takes_the_empty_budget(self):
         assert is_vertex_covering_sequence(Graph(0, (), ()), (), ())
@@ -114,6 +124,14 @@ class TestAdmits:
     def test_rejects_short_budget(self):
         with pytest.raises(ValueError):
             admits(complete(4), (1, 1))
+
+    def test_rejects_negative_radii(self):
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            admits(complete(3), (1, -1))
+
+    def test_rejects_more_than_16_nodes(self):
+        with pytest.raises(UnsupportedSizeError, match="admits supports at most 16 nodes, got 17"):
+            admits(path(17), default_covering_sequence(17))
 
     def test_empty_pattern_takes_the_empty_order(self):
         for radii in ((), (0,), (3, 1)):

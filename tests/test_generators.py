@@ -25,7 +25,12 @@ from rnpkit import (
     star,
 )
 from rnpkit import generators
-from rnpkit.generators import _DRAW_BLOCK, _pair_schedule, _pairing_model_edges
+from rnpkit.generators import (
+    _DRAW_BLOCK,
+    _pair_schedule,
+    _pairing_model_edges,
+    check_regular_parameters,
+)
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
 
 from conftest import (
@@ -123,6 +128,11 @@ class TestRandomRegular:
             random_regular_perturbed(4, 4, 0, 0)  # degree too large
         with pytest.raises(ValueError):
             random_regular_perturbed(6, 3, 10, 0)  # more deletions than edges
+
+    def test_negative_parameters(self):
+        for d, deletions in ((-1, 0), (2, -1)):
+            with pytest.raises(ValueError, match="degree and deletions must be nonnegative"):
+                check_regular_parameters(4, d, deletions)
 
     def test_complete_shortcut_matches_pairing_model(self):
         # For d = n - 1 the pairing model can only draw K_n; the shortcut
@@ -349,6 +359,12 @@ def test_unmix_inverts_mix(x):
     assert _unmix(_mix(x)) == x
 
 
+def test_below_rejects_a_nonpositive_bound():
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SplitMix64(1).below(bound)
+
+
 class TestPrimePartite:
     def test_two_part_example(self):
         g = prime_partite([2, 3], 6)
@@ -396,6 +412,8 @@ class TestPrimePartite:
             prime_partite([2, 3], 4)  # does not fit
         with pytest.raises(ValueError):
             prime_partite([], 4)
+        with pytest.raises(ValueError, match="part size 1 is not prime"):
+            prime_partite([1, 2], 5)
 
     def test_oversized_part_is_rejected_before_primality(self, monkeypatch):
         # Trial division of 10**18 + 3 takes minutes; the sum check comes first.
@@ -475,3 +493,7 @@ class TestEnumeration:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             enumerate_connected_graphs(7)
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            enumerate_connected_graphs(0)

@@ -694,6 +694,11 @@ class TestUtilities:
         h = permuted(g, seeded_permutation(6, 4))
         assert are_isomorphic(g, h)
 
+    def test_permuted_rejects_a_non_permutation(self):
+        for perm in ((0, 0, 2), (0, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="perm must be a permutation of the node indices"):
+                permuted(path(3), perm)
+
     def test_is_connected(self):
         assert is_connected(cycle(5))
         assert not is_connected(two_triangles())
