@@ -30,10 +30,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .counting import MAX_HOST_NODES, PatternCensus, count_induced, count_noninduced
 from .covering import family_covering_sequence, is_vertex_covering_sequence, min_r1_covering_sequence
 from .encoder import (
-    distinguish,
     encoding_digest,
     graph_readout,
-    rnp_encode_graph,
     rnp_encode_nodes,
     update_bound,
 )
@@ -182,7 +180,9 @@ def _cmd_distinguish(args) -> dict:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     radii = _parse_counts(args.radii, "radii")
-    return {"rnp": distinguish(g1, g2, radii), "wl": wl_distinguish(g1, g2), "radii": list(radii)}
+    first = graph_readout(_encoded(g1, radii, f"{args.graph1}: ")[0])
+    rnp = graph_readout(_encoded(g2, radii, f"{args.graph2}: ")[0]) != first
+    return {"rnp": rnp, "wl": wl_distinguish(g1, g2), "radii": list(radii)}
 
 
 def _cmd_complexity(args) -> dict:
@@ -369,7 +369,7 @@ def run_experiment(trials: Iterable[tuple[int, Graph]], census: PatternCensus,
             digest = encoding_digest(encoding)
             same_digest = by_digest.setdefault(digest, [])
             tally = next((t for first, t in same_digest
-                          if rnp_encode_graph(first, radii) == encoding), None)
+                          if graph_readout(_encoded(first, radii)[0]) == encoding), None)
             if tally is None:
                 tally = {}
                 same_digest.append((graph, tally))

@@ -64,8 +64,8 @@ Encoding = bytes
 
 
 def leaf(attribute: int) -> Encoding:
-    if attribute < 0:
-        raise ValueError("attributes must be nonnegative")
+    if not isinstance(attribute, int) or attribute < 0:
+        raise ValueError("attributes must be nonnegative integers")
     return b"L%d;" % attribute
 
 
@@ -105,8 +105,8 @@ def _check_radii(radii: Sequence[int]) -> tuple[int, ...]:
     radii = tuple(radii)
     if not radii:
         raise ValueError("radius sequence must be nonempty")
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
+    if not all(isinstance(r, int) and r >= 0 for r in radii):
+        raise ValueError("radii must be nonnegative integers")
     return radii
 
 

@@ -85,12 +85,12 @@ class Graph:
     adjacency: tuple[int, ...]
     attributes: tuple[int, ...]
 
-    def __init__(self, node_count: int, adjacency: tuple[int, ...],
-                 attributes: tuple[int, ...]):
+    def __init__(self, node_count: int, adjacency: Iterable[int],
+                 attributes: Iterable[int]):
         set_field = object.__setattr__
         set_field(self, "node_count", node_count)
-        set_field(self, "adjacency", adjacency)
-        set_field(self, "attributes", attributes)
+        set_field(self, "adjacency", adjacency := tuple(adjacency))
+        set_field(self, "attributes", attributes := tuple(attributes))
         n = node_count
         if n < 0:
             raise ValueError("node_count must be nonnegative")
@@ -108,8 +108,8 @@ class Graph:
                 if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
         for v, x in enumerate(attributes):
-            if x < 0:
-                raise ValueError(f"negative attribute at node {v}")
+            if not isinstance(x, int) or x < 0:
+                raise ValueError(f"attribute at node {v} must be a nonnegative integer")
 
     def _key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         return self.node_count, self.adjacency, self.attributes

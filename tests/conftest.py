@@ -84,6 +84,39 @@ def rook_and_shrikhande():
     return Graph.from_edges(16, rook), Graph.from_edges(16, shrikhande)
 
 
+def cfi_pair(base: Graph) -> tuple[Graph, Graph]:
+    """The untwisted and twisted Cai-Fuerer-Immerman graphs of ``base``
+    (Cai, Fuerer & Immerman 1992).
+
+    Each base vertex gets one middle node per even subset of its edges and
+    two end nodes, 0 and 1, per incident edge; a middle node is joined to
+    end 1 of the edges in its subset and to end 0 of the rest.  Across each
+    base edge the two vertices' ends are joined straight (0 to 0, 1 to 1),
+    except on the first edge of the twisted graph, where they cross.  For a
+    connected base the two graphs are not isomorphic, and 1-WL does not
+    separate them.
+    """
+    edges = [(u, v) for u in range(base.node_count) for v in bits_of(base.adjacency[u]) if u < v]
+    ends: dict[tuple[int, int], int] = {}  # (vertex, edge index) -> its end 0; end 1 follows
+    gadgets: list[tuple[int, int]] = []
+    nodes = 0
+    for v in range(base.node_count):
+        incident = [i for i, e in enumerate(edges) if v in e]
+        for i in incident:
+            ends[v, i] = nodes
+            nodes += 2
+        for size in range(0, len(incident) + 1, 2):
+            for subset in combinations(incident, size):
+                gadgets += [(nodes, ends[v, i] + (i in subset)) for i in incident]
+                nodes += 1
+    pair = []
+    for twist in (0, 1):
+        across = [(ends[u, i] + b, ends[v, i] + (b ^ (twist and i == 0)))
+                  for i, (u, v) in enumerate(edges) for b in (0, 1)]
+        pair.append(Graph.from_edges(nodes, gadgets + across))
+    return pair[0], pair[1]
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     shift = a.node_count
     rows = list(a.adjacency) + [row << shift for row in b.adjacency]

@@ -38,7 +38,7 @@ from rnpkit import (
     two_triangles,
     update_bound,
 )
-from rnpkit import cli, counting, generators
+from rnpkit import cli, counting, encoder, generators
 from rnpkit.cli import main
 from rnpkit.graphs import IsomorphismClasses
 
@@ -414,19 +414,37 @@ def digit_limit():
 class TestComplexityAndEncode:
     # P3 under tau radii of 1 has bound 3 * 3**tau: 4,300 digits at tau =
     # 9,011, which prints, and 4,301 at tau = 9,012, which does not.
-    @pytest.mark.parametrize("command", ["encode", "complexity"])
+    @pytest.mark.parametrize("command", ["encode", "complexity", "distinguish"])
     def test_unprintable_bound_is_user_error(
         self, tmp_path, capsys, monkeypatch, digit_limit, command
     ):
         g = write_graph(tmp_path, "p3.txt", path(3))
-        code, text = run([command, g, "--radii", ",".join(["1"] * 9011)])
-        assert code == 0 and json.loads(text)["bound"] == 3**9012
-        # The bound is checked before anything is encoded.
+        graphs = [g, g] if command == "distinguish" else [g]
+        code, text = run([command, *graphs, "--radii", ",".join(["1"] * 9011)])
+        assert code == 0
+        if command != "distinguish":
+            assert json.loads(text)["bound"] == 3**9012
+        # The bound is checked before anything is encoded, by any route.
         monkeypatch.setattr(cli, "rnp_encode_nodes", _encoder_never_called)
+        monkeypatch.setattr(encoder, "rnp_encode_nodes", _encoder_never_called)
         for tau in (9012, 10_000):
-            assert run([command, g, "--radii", ",".join(["1"] * tau)]) == (2, "")
+            assert run([command, *graphs, "--radii", ",".join(["1"] * tau)]) == (2, "")
             err = capsys.readouterr().err
             assert "the n * c**tau update bound is too large to print" in err
+
+    def test_distinguish_names_the_graph_whose_bound_does_not_print(
+        self, tmp_path, capsys, monkeypatch, digit_limit
+    ):
+        # K1's bound is 1 under any radii, so graph1 is encoded; P3's is not.
+        k1 = write_graph(tmp_path, "k1.txt", Graph.from_edges(1))
+        p3 = write_graph(tmp_path, "p3.txt", path(3))
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
+        radii = ",".join(["1"] * 9012)
+        assert run(["distinguish", k1, p3, "--radii", radii]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {p3}: the n * c**tau update bound is too large to print\n"
+        )
+        assert encoded == [Graph.from_edges(1)]
 
     def test_isolated_nodes_hit_bound(self, tmp_path):
         from rnpkit import Graph
@@ -875,15 +893,16 @@ class TestExperiment:
         seeds = range(5_000_000, 5_000_300)
         trials = [(s, random_regular_perturbed(10, 3, 1, s)) for s in seeds]
         patterns = [complete(3), path(3)]
-        derived = count_calls(monkeypatch, "rnp_encode_graph")
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
         records = experiment_records(
             trials, patterns, family_covering_sequence(patterns), "noninduced"
         )
         outcome = (sum(r.hit for r in records), sum(r.tests_failed for r in records),
                    sum(not r.hit for r in records))
         assert outcome == (221, 74, 79)
-        # Every class's encoding is new, so no miss re-derives one.
-        assert derived == []
+        # Every class's encoding is new, so each miss encodes its own graph
+        # and re-derives none.
+        assert encoded == [r.graph for r in records if not r.hit]
 
     def test_stream_regular_outcome_over_two_thousand_trials(self):
         # The benchmark's stream at seed 11: hits, failed exact tests and
@@ -901,11 +920,12 @@ class TestExperiment:
         # digest and first graph, so each later miss re-encodes that graph
         # once to compare bytes, and a hit encodes nothing.
         trials = [(s, random_regular_perturbed(60, 2, 0, s)) for s in range(20)]
-        derived = count_calls(monkeypatch, "rnp_encode_graph")
+        encoded = count_calls(monkeypatch, "rnp_encode_nodes")
         records = experiment_records(trials, [], (1,))
         assert [r.rnp_distinct for r in records] == [True] + [False] * 19
-        assert sum(not r.hit for r in records) == 16
-        assert derived == [trials[0][1]] * 15
+        misses = [r.graph for r in records if not r.hit]
+        assert len(misses) == 16 and misses[0] == trials[0][1]
+        assert encoded == [misses[0]] + [g for m in misses[1:] for g in (m, misses[0])]
 
     @pytest.mark.parametrize("generator, trials", [
         ({"kind": "er", "n": 8, "p": 0.35}, 20),

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from rnpkit import (
     Graph,
+    PatternCensus,
     SplitMix64,
     UpdateCounter,
+    admits,
+    are_isomorphic,
     complete,
+    count_noninduced,
     cycle,
     distinguish,
     encoding_digest,
@@ -27,6 +31,7 @@ from rnpkit import (
     rnp_encode_nodes,
     two_triangles,
     update_bound,
+    wl_distinguish,
 )
 
 from rnpkit import encoder
@@ -34,6 +39,7 @@ from rnpkit.encoder import _BitTable, _leaf_keys, _leaf_level, _leaf_tables
 from rnpkit.graphs import bfs_layers
 
 from conftest import (
+    cfi_pair,
     count_all_patterns,
     graph_strategy,
     seeded_graph,
@@ -50,6 +56,11 @@ class TestEncodingValues:
         assert leaf(12) == b"L12;"
         with pytest.raises(ValueError):
             leaf(-1)
+
+    def test_leaf_rejects_a_non_integer(self):
+        # %d would write leaf(0.5) as L0;, the value of attribute 0.
+        with pytest.raises(ValueError, match="attributes must be nonnegative integers"):
+            leaf(0.5)
 
     def test_marked_flag(self):
         assert marked(leaf(3), 1) != marked(leaf(3), 0)
@@ -126,6 +137,14 @@ class TestNodeEncodings:
             rnp_encode_nodes(path(3), ())
         with pytest.raises(ValueError):
             rnp_encode_nodes(path(3), (1, -1))
+
+    def test_rejects_a_non_integer_radius(self):
+        # A radius of 1.5 would reach the whole path in update_bound's sweep.
+        for radii in [(1.5,), (2, 1.0)]:
+            with pytest.raises(ValueError, match="radii must be nonnegative integers"):
+                rnp_encode_nodes(path(6), radii)
+            with pytest.raises(ValueError, match="radii must be nonnegative integers"):
+                update_bound(path(6), radii)
 
 
 class TestGraphEncoding:
@@ -520,3 +539,36 @@ class TestCountRefinement:
             by_encoding[rnp_encode_graph(g, (3, 2, 1))].add(profile)
         for profiles in by_encoding.values():
             assert len(profiles) == 1
+
+
+K33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+class TestTheorem1OnCollisions:
+    # Cai-Fuerer-Immerman pairs: non-isomorphic, 1-WL-equivalent, and with
+    # equal encodings under budgets that admit every connected pattern of
+    # 3 to len(radii) + 1 nodes.  Theorem 1 then says the counts of those
+    # patterns agree; here the check compares counts of graphs that are
+    # not isomorphic, so it can fail.
+    @pytest.mark.parametrize("base, size, budgets", [
+        (complete(4), (40, 60), [(3, 2, 1), (4, 3, 2, 1)]),
+        (K33, (60, 90), [(3, 2, 1)]),
+    ], ids=["K4", "K3,3"])
+    def test_equal_encodings_give_equal_counts(self, base, size, budgets):
+        plain, twisted = cfi_pair(base)
+        assert (plain.node_count, plain.edge_count) == size
+        assert (twisted.node_count, twisted.edge_count) == size
+        # canonical_code stops at 8 nodes: the class index alone decides this.
+        assert not are_isomorphic(plain, twisted)
+        assert not wl_distinguish(plain, twisted)
+        for radii in budgets:
+            assert rnp_encode_graph(plain, radii) == rnp_encode_graph(twisted, radii)
+            patterns = [h for k in range(3, len(radii) + 2)
+                        for h in enumerate_connected_graphs(k)]
+            assert all(admits(h, radii) is not None for h in patterns)
+            induced = PatternCensus(patterns, "induced")
+            assert induced.counts(twisted) == induced.counts(plain)
+            noninduced = PatternCensus(patterns, "noninduced")
+            counts = noninduced.counts(plain)
+            assert noninduced.counts(twisted) == counts
+            assert counts == tuple(count_noninduced(plain, h) for h in patterns)

@@ -67,6 +67,23 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(1, [], [-1])
 
+    def test_rejects_a_non_integer_attribute(self):
+        # An attribute of 0.5 would encode as 0 and serialize as text that
+        # parse_graph rejects.
+        for attributes in [(0.5, 0), (0, "1")]:
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                Graph(2, (2, 1), attributes)
+
+    def test_rows_and_attributes_are_stored_as_tuples(self):
+        rows, attributes = (2, 5, 2), (0, 0, 0)
+        from_lists = Graph(3, list(rows), list(attributes))
+        assert from_lists.adjacency == rows and from_lists.attributes == attributes
+        assert from_lists == Graph(3, rows, attributes)
+        assert hash(from_lists) == hash(Graph(3, rows, attributes))
+        # A tuple is stored as it is, not copied.
+        g = Graph(3, rows, attributes)
+        assert g.adjacency is rows and g.attributes is attributes
+
     @pytest.mark.parametrize(
         "args, message",
         [
