@@ -47,6 +47,7 @@ from .graphs import (
     IsomorphismClasses,
     ParseError,
     UnsupportedSizeError,
+    _is_count,
     parse_graph,
     serialize_graph,
 )
@@ -197,10 +198,6 @@ _GENERATOR_KEYS = {
     "regular": {"kind", "n", "d", "delete"},
 }
 _KNOWN_CHECKS = ("theorem1", "theorem3")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _is_string_list(value) -> bool:

@@ -35,33 +35,16 @@ MAX_HISTOGRAM_PATTERN_NODES = 5
 _ID_SHIFT = MAX_HISTOGRAM_PATTERN_NODES * (MAX_HISTOGRAM_PATTERN_NODES - 1) // 2
 
 
-def _check_pattern_size(h: Graph) -> None:
-    if h.node_count > MAX_PATTERN_NODES:
-        raise UnsupportedSizeError(
-            f"pattern has {h.node_count} nodes, limit is {MAX_PATTERN_NODES}"
-        )
-
-
-def _check_host_size(g: Graph) -> None:
-    if g.node_count > MAX_HOST_NODES:
-        raise UnsupportedSizeError(
-            f"host has {g.node_count} nodes, limit is {MAX_HOST_NODES}"
-        )
-
-
-def _check_sizes(g: Graph, h: Graph) -> None:
-    _check_pattern_size(h)
-    _check_host_size(g)
+def _check_size(g: Graph, role: str, limit: int) -> None:
+    if g.node_count > limit:
+        raise UnsupportedSizeError(f"{role} has {g.node_count} nodes, limit is {limit}")
 
 
 def count_induced(g: Graph, h: Graph) -> int:
     """Number of vertex subsets of g whose induced subgraph is isomorphic to h."""
-    _check_sizes(g, h)
+    _check_size(h, "pattern", MAX_PATTERN_NODES)
+    _check_size(g, "host", MAX_HOST_NODES)
     k = h.node_count
-    if k > g.node_count:
-        return 0
-    if k == 0:
-        return 1
     h_edges = h.edge_count
     h_degrees = sorted(row.bit_count() for row in h.adjacency)
     h_attrs = sorted(h.attributes)
@@ -82,19 +65,16 @@ def count_induced(g: Graph, h: Graph) -> int:
 
 def automorphism_count(h: Graph) -> int:
     """Number of attribute- and adjacency-preserving self-bijections of h."""
-    _check_pattern_size(h)
+    _check_size(h, "pattern", MAX_PATTERN_NODES)
     return _embeddings(h.adjacency, h.attributes, h.adjacency, h.attributes, True)
 
 
 def count_noninduced(g: Graph, h: Graph) -> int:
     """Number of (vertex set, edge set) subgraphs of g isomorphic to h."""
-    _check_sizes(g, h)
-    if h.node_count > g.node_count:
-        return 0
-    if h.node_count == 0:
-        return 1
+    _check_size(h, "pattern", MAX_PATTERN_NODES)
+    _check_size(g, "host", MAX_HOST_NODES)
     embeddings = _embeddings(h.adjacency, h.attributes, g.adjacency, g.attributes, False)
-    return embeddings // automorphism_count(h)
+    return embeddings // automorphism_count(h) if embeddings else 0
 
 
 def _connected_census(
@@ -194,7 +174,7 @@ class PatternCensus:
         if mode not in ("induced", "noninduced"):
             raise ValueError("mode must be 'induced' or 'noninduced'")
         for h in patterns:
-            _check_pattern_size(h)
+            _check_size(h, "pattern", MAX_PATTERN_NODES)
         self._patterns = tuple(patterns)
         self._induced = mode == "induced"
         self._oracle_count = count_induced if self._induced else count_noninduced
@@ -215,7 +195,7 @@ class PatternCensus:
     def counts(self, g: Graph) -> tuple[int, ...]:
         """One count per pattern, equal to count_induced / count_noninduced."""
         if self._patterns:
-            _check_host_size(g)
+            _check_size(g, "host", MAX_HOST_NODES)
         counts = [0] * len(self._patterns)
         width, tallies = self._census(g)
         for size, tally in tallies.items():

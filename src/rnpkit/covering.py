@@ -16,9 +16,9 @@ from .graphs import (
     INFINITY,
     Graph,
     UnsupportedSizeError,
+    _is_count,
     bfs_layers,
     bits_of,
-    component_mask,
     is_connected,
     layer_sizes,
 )
@@ -62,8 +62,8 @@ def is_vertex_covering_sequence(
     expected = max(k - 1, 0)  # a 0-node pattern takes the empty budget
     if len(radii) != expected:
         raise ValueError(f"radius budget has length {len(radii)}, expected {expected}")
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
+    if not all(map(_is_count, radii)):
+        raise ValueError("radii must be nonnegative integers")
     mask = (1 << k) - 1
     for v, r in zip(order[:-1], radii):
         if not _covers(h.adjacency, mask, v, r):
@@ -92,8 +92,8 @@ def admits(h: Graph, radii: Sequence[int]) -> tuple[int, ...] | None:
         raise ValueError(
             f"radius budget has length {len(radii)}, expected at least {k - 1}"
         )
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
+    if not all(map(_is_count, radii)):
+        raise ValueError("radii must be nonnegative integers")
     budget = tuple(radii[: k - 1])
     adjacency = h.adjacency
     memo: dict[int, tuple[int, ...] | None] = {}
@@ -144,7 +144,7 @@ def min_r1_covering_sequence(h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]
 
     def non_cut(u: int) -> bool:
         rest = full & ~(1 << u)
-        return component_mask(adjacency, rest, (u + 1) % n) == rest
+        return sum(bfs_layers(adjacency, rest, (u + 1) % n)) == rest
 
     steps = [min(
         (len(sizes) - 1, v) for v, sizes in enumerate(layer_sizes(adjacency)) if non_cut(v)

@@ -58,13 +58,13 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, bits_of, layer_sizes
+from .graphs import Graph, _is_count, bits_of, layer_sizes
 
 Encoding = bytes
 
 
 def leaf(attribute: int) -> Encoding:
-    if not isinstance(attribute, int) or attribute < 0:
+    if not _is_count(attribute):
         raise ValueError("attributes must be nonnegative integers")
     return b"L%d;" % attribute
 
@@ -105,7 +105,7 @@ def _check_radii(radii: Sequence[int]) -> tuple[int, ...]:
     radii = tuple(radii)
     if not radii:
         raise ValueError("radius sequence must be nonempty")
-    if not all(isinstance(r, int) and r >= 0 for r in radii):
+    if not all(map(_is_count, radii)):
         raise ValueError("radii must be nonnegative integers")
     return radii
 

@@ -65,9 +65,9 @@ def bits_of(mask: int) -> list[int]:
     return positions
 
 
-def component_mask(adjacency: tuple[int, ...], within: int, v: int) -> int:
-    """Connected component of ``v`` inside the node set ``within``."""
-    return sum(bfs_layers(adjacency, within, v))
+def _is_count(value: object) -> bool:
+    """True iff ``value`` is a nonnegative ``int``; a ``bool`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class Graph:
@@ -92,8 +92,8 @@ class Graph:
         set_field(self, "adjacency", adjacency := tuple(adjacency))
         set_field(self, "attributes", attributes := tuple(attributes))
         n = node_count
-        if n < 0:
-            raise ValueError("node_count must be nonnegative")
+        if not _is_count(n):
+            raise ValueError("node_count must be a nonnegative integer")
         if len(adjacency) != n:
             raise ValueError("adjacency must have one row per node")
         if len(attributes) != n:
@@ -108,7 +108,7 @@ class Graph:
                 if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
         for v, x in enumerate(attributes):
-            if not isinstance(x, int) or x < 0:
+            if not _is_count(x):
                 raise ValueError(f"attribute at node {v} must be a nonnegative integer")
 
     def _key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -272,7 +272,7 @@ def is_connected(g: Graph) -> bool:
     if g.node_count <= 1:
         return True
     full = (1 << g.node_count) - 1
-    return component_mask(g.adjacency, full, 0) == full
+    return sum(bfs_layers(g.adjacency, full, 0)) == full
 
 
 @lru_cache(maxsize=1 << 12)

@@ -25,6 +25,7 @@ from rnpkit import (
     star,
     two_triangles,
 )
+from rnpkit import counting
 from rnpkit.counting import _key_rows
 
 from conftest import (
@@ -148,6 +149,14 @@ class TestCountNoninduced:
         h = Graph.from_edges(3, [(0, 1)])  # edge plus an isolated node
         g = path(3)
         assert count_noninduced(g, h) == noninduced_by_enumeration(g, h)
+
+    def test_larger_pattern_skips_automorphisms(self, monkeypatch):
+        # K8 has no map into K7, so its 40,320 automorphisms are never counted.
+        def refuse(h):
+            raise AssertionError("automorphism_count called")
+
+        monkeypatch.setattr(counting, "automorphism_count", refuse)
+        assert count_noninduced(complete(7), complete(8)) == 0
 
 
 class TestAutomorphisms:
@@ -348,6 +357,16 @@ class TestPatternCensus:
     def test_pattern_larger_than_host(self):
         for mode in ("induced", "noninduced"):
             assert PatternCensus([cycle(4), path(5)], mode).counts(complete(3)) == (0, 0)
+
+    @pytest.mark.parametrize("mode", ["induced", "noninduced"])
+    def test_empty_and_oversized_patterns(self, mode):
+        # The 0-node pattern has one copy in every host, the empty subgraph;
+        # a pattern larger than its host has none.
+        oracle = count_induced if mode == "induced" else count_noninduced
+        for g in (Graph(0, (), ()), complete(3), cycle(7)):
+            patterns = [Graph(0, (), ()), path(g.node_count + 1), complete(8)]
+            assert tuple(oracle(g, h) for h in patterns) == (1, 0, 0)
+            assert PatternCensus(patterns, mode).counts(g) == (1, 0, 0)
 
     def test_census_visits_each_connected_subset_once(self):
         hosts = []

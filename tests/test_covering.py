@@ -77,6 +77,11 @@ class TestVertexCoveringSequence:
         with pytest.raises(ValueError, match="radii must be nonnegative"):
             is_vertex_covering_sequence(complete(3), (0, 1, 2), (1, -1))
 
+    @pytest.mark.parametrize("radii", [(1.5, 1), (True, 1), (1, 1.0)])
+    def test_rejects_non_integer_radii(self, radii):
+        with pytest.raises(ValueError, match="radii must be nonnegative integers"):
+            is_vertex_covering_sequence(path(3), (0, 1, 2), radii)
+
     def test_empty_pattern_takes_the_empty_budget(self):
         assert is_vertex_covering_sequence(Graph(0, (), ()), (), ())
 
@@ -128,6 +133,11 @@ class TestAdmits:
     def test_rejects_negative_radii(self):
         with pytest.raises(ValueError, match="radii must be nonnegative"):
             admits(complete(3), (1, -1))
+
+    @pytest.mark.parametrize("radii", [(1.5, 1), (True, 1), (1, 1.0)])
+    def test_rejects_non_integer_radii(self, radii):
+        with pytest.raises(ValueError, match="radii must be nonnegative integers"):
+            admits(path(3), radii)
 
     def test_rejects_more_than_16_nodes(self):
         with pytest.raises(UnsupportedSizeError, match="admits supports at most 16 nodes, got 17"):

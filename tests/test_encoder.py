@@ -58,9 +58,11 @@ class TestEncodingValues:
             leaf(-1)
 
     def test_leaf_rejects_a_non_integer(self):
-        # %d would write leaf(0.5) as L0;, the value of attribute 0.
-        with pytest.raises(ValueError, match="attributes must be nonnegative integers"):
-            leaf(0.5)
+        # %d would write leaf(0.5) as L0;, the value of attribute 0, and
+        # leaf(True) as L1;.
+        for attribute in (0.5, True):
+            with pytest.raises(ValueError, match="attributes must be nonnegative integers"):
+                leaf(attribute)
 
     def test_marked_flag(self):
         assert marked(leaf(3), 1) != marked(leaf(3), 0)
@@ -140,7 +142,7 @@ class TestNodeEncodings:
 
     def test_rejects_a_non_integer_radius(self):
         # A radius of 1.5 would reach the whole path in update_bound's sweep.
-        for radii in [(1.5,), (2, 1.0)]:
+        for radii in [(1.5,), (2, 1.0), (True,)]:
             with pytest.raises(ValueError, match="radii must be nonnegative integers"):
                 rnp_encode_nodes(path(6), radii)
             with pytest.raises(ValueError, match="radii must be nonnegative integers"):
@@ -566,9 +568,27 @@ class TestTheorem1OnCollisions:
             patterns = [h for k in range(3, len(radii) + 2)
                         for h in enumerate_connected_graphs(k)]
             assert all(admits(h, radii) is not None for h in patterns)
-            induced = PatternCensus(patterns, "induced")
-            assert induced.counts(twisted) == induced.counts(plain)
-            noninduced = PatternCensus(patterns, "noninduced")
-            counts = noninduced.counts(plain)
-            assert noninduced.counts(twisted) == counts
-            assert counts == tuple(count_noninduced(plain, h) for h in patterns)
+            _assert_equal_counts(plain, twisted, patterns)
+
+    def test_a_budget_that_rejects_paths(self):
+        # (2, 2, 2, 1) admits 21 of the 29 connected 3- to 5-node patterns:
+        # not P4 or P5, which (3, 2, 1) and (4, 3, 2, 1) admit.
+        plain, twisted = cfi_pair(complete(4))
+        radii = (2, 2, 2, 1)
+        assert rnp_encode_graph(plain, radii) == rnp_encode_graph(twisted, radii)
+        connected = [h for k in range(3, 6) for h in enumerate_connected_graphs(k)]
+        patterns = [h for h in connected if admits(h, radii) is not None]
+        assert (len(connected), len(patterns)) == (29, 21)
+        assert admits(path(4), radii) is None and admits(path(5), radii) is None
+        _assert_equal_counts(plain, twisted, patterns)
+
+
+def _assert_equal_counts(plain, twisted, patterns):
+    """Both graphs' counts of ``patterns`` agree in both modes, and the
+    census's non-induced counts equal the oracle's."""
+    induced = PatternCensus(patterns, "induced")
+    assert induced.counts(twisted) == induced.counts(plain)
+    noninduced = PatternCensus(patterns, "noninduced")
+    counts = noninduced.counts(plain)
+    assert noninduced.counts(twisted) == counts
+    assert counts == tuple(count_noninduced(plain, h) for h in patterns)
