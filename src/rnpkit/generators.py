@@ -8,7 +8,9 @@ pairing model takes the shuffle's steps in pairs, checking each pair of
 stubs as the two steps that fix it are taken, and draws in blocks of at
 most ``_DRAW_BLOCK`` values; otherwise it falls back to the plain
 shuffle.  Either way its graphs and stream states are those of the
-shuffle-then-check definition.
+shuffle-then-check definition.  The kernel returns the graph as
+adjacency rows, which go straight into ``Graph``; deletions pop from the
+sorted edge list built from those rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, IsomorphismClasses, UnsupportedSizeError, bits_of, is_connected
+from .graphs import (
+    Graph,
+    IsomorphismClasses,
+    UnsupportedSizeError,
+    _is_count,
+    bits_of,
+    is_connected,
+)
 from .rng import _GOLDEN, _GOLDEN_INV, _MASK64, SplitMix64, _unmix
 
 MAX_ENUMERATION_NODES = 6
@@ -37,8 +46,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     kept when its draw is below ``ceil(p * 2**53) << 11``: ``random()`` is
     the draw's top 53 bits times 2**-53, so that is the same test.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    if not _is_count(n):
+        raise ValueError("node count must be a nonnegative integer")
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        raise ValueError("p must be a number in [0, 1]")
     rng = SplitMix64(seed)
     threshold = math.ceil(p * 2**53) << 11
     pairs = combinations(range(n), 2)
@@ -61,8 +72,10 @@ def check_regular_parameters(n: int, d: int, deletions: int) -> None:
     This checks feasibility only: ``random_regular_perturbed`` can still
     run out of attempts on a dense d (see there).
     """
-    if d < 0 or deletions < 0:
-        raise ValueError("degree and deletions must be nonnegative")
+    if not _is_count(n):
+        raise ValueError("node count must be a nonnegative integer")
+    if not (_is_count(d) and _is_count(deletions)):
+        raise ValueError("degree and deletions must be nonnegative integers")
     if d >= n and not (n == 0 and d == 0):
         raise ValueError("degree must be smaller than the node count")
     if (n * d) % 2 != 0:
@@ -97,10 +110,15 @@ def _pair_schedule(stubs: int) -> tuple[range, ...]:
     return tuple(range(top, max(top - span, 1), -2) for top in range(stubs - 1, 1, -span))
 
 
-def _pairing_model_edges(
-    n: int, d: int, pairing: SplitMix64
-) -> list[tuple[int, int]] | None:
-    """Sorted edges of the first simple graph the pairing model draws.
+@lru_cache(maxsize=8)
+def _stub_table(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pairing model's stub list ``[0]*d + [1]*d + ...`` on n nodes,
+    and each node's own bit; tuples, which the kernel copies per attempt."""
+    return tuple(v for v in range(n) for _ in range(d)), tuple(1 << v for v in range(n))
+
+
+def _pairing_model_rows(n: int, d: int, pairing: SplitMix64) -> list[int] | None:
+    """Adjacency rows of the first simple graph the pairing model draws.
 
     An attempt makes the draws of ``pairing.shuffle`` on the stub list
     ``[0]*d + [1]*d + ...`` and fails if a pair (2k, 2k + 1) is a loop or
@@ -109,21 +127,22 @@ def _pairing_model_edges(
     takes the steps in pairs: odd step i and step i - 1 fix pair
     (i - 1, i), which is checked at once.  Each node's row of drawn edges
     starts with its own bit, so one bit test rejects a loop and a
-    repeated edge alike.  Step 1 only orders positions 0 and 1, so pair
-    (0, 1) is checked without its draw.  Draws come in the blocks of
-    ``_pair_schedule`` from ``next_block``, which is exact while no draw
-    of the attempt could be rejected by ``below``: then an attempt takes
-    exactly m - 1 draws, and the state after it is set in one step,
-    whether the attempt stopped at a bad pair or not.  An attempt that
-    would reach the first draw at one of the ``_danger_positions`` is
-    instead run as the definition, a whole ``shuffle`` whose pairs are
-    checked afterwards, and so is every attempt after it.  ``pairing`` is
-    left as ``shuffle`` leaves it after the accepted attempt.  Returns
-    None, with ``pairing`` unmoved, if the attempt budget runs out.
+    repeated edge alike; the rows returned have it cleared.  Step 1 only
+    orders positions 0 and 1, so pair (0, 1) is checked without its draw.
+    Draws come in the blocks of ``_pair_schedule`` from ``next_block``,
+    which is exact while no draw of the attempt could be rejected by
+    ``below``: then an attempt takes exactly m - 1 draws, and the state
+    after it is set in one step, whether the attempt stopped at a bad
+    pair or not.  An attempt that would reach the first draw at one of
+    the ``_danger_positions`` is instead run as the definition, a whole
+    ``shuffle`` whose pairs are checked afterwards, and so is every
+    attempt after it.  ``pairing`` is left as ``shuffle`` leaves it after
+    the accepted attempt.  Returns None, with ``pairing`` unmoved, if the
+    attempt budget runs out.
     """
     m = n * d
     if m == 0:
-        return []
+        return [0] * n
     start = pairing._state
     # the number of draws from ``start`` before the first that below() may
     # reject: the distance from draw 1 to the next danger position, mod 2**64
@@ -131,11 +150,10 @@ def _pairing_model_edges(
     danger = _danger_positions(m)
     safe = (danger[bisect_left(danger, first) % m] - first) & _MASK64
     schedule = _pair_schedule(m)
-    stub_list = [v for v in range(n) for _ in range(d)]
-    own = [1 << v for v in range(n)]
+    stub_list, own = _stub_table(n, d)
     for attempt in range(1, _PAIRING_MAX_ATTEMPTS + 1):
-        stubs = stub_list[:]
-        rows = own[:]
+        stubs = list(stub_list)
+        rows = list(own)
         if attempt * (m - 1) > safe:
             pairing.shuffle(stubs)
             pairs = zip(stubs[::2], stubs[1::2])
@@ -168,7 +186,10 @@ def _pairing_model_edges(
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         else:
-            return [(u, v) for u in range(n) for v in bits_of(rows[u] >> u + 1 << u + 1)]
+            # in place, so that a wide host never holds two sets of rows
+            for v, bit in enumerate(own):
+                rows[v] ^= bit
+            return rows
     pairing._state = start
     return None
 
@@ -177,31 +198,38 @@ def random_regular_perturbed(n: int, d: int, deletions: int, seed: int) -> Graph
     """Pairing-model d-regular graph with ``deletions`` random edges removed.
 
     The pairing model is resampled wholesale until it yields a simple
-    graph, then ``deletions`` distinct edges are deleted uniformly.  A
-    dense d may exhaust the attempt budget; then the graph is the
-    complement of a pairing-model (n - 1 - d)-regular graph drawn from a
-    substream of its own, and ValueError is raised if that exhausts its
-    budget too.  For d = n - 1 the only such graph is K_n, the complement
-    of the empty graph, which is taken at once: the pairing model would
-    almost never draw it.
+    graph, then ``deletions`` distinct edges are deleted uniformly: each
+    pops an index drawn on a substream of its own from the sorted list of
+    the edges left.  A dense d may exhaust the attempt budget; then the
+    graph is the complement, row by row, of a pairing-model
+    (n - 1 - d)-regular graph drawn from another substream, and
+    ValueError is raised if that exhausts its budget too.  For d = n - 1
+    the only such graph is K_n, the complement of the empty graph, which
+    is taken at once: the pairing model would almost never draw it.  The
+    kernel's rows go straight into ``Graph``.
     """
     check_regular_parameters(n, d, deletions)
     rng = SplitMix64(seed)
-    edges = None if d == n - 1 else _pairing_model_edges(n, d, rng.split(0))
-    if edges is None:
-        sparse = _pairing_model_edges(n, n - 1 - d, rng.split(2))
+    rows = None if d == n - 1 else _pairing_model_rows(n, d, rng.split(0))
+    if rows is None:
+        sparse = _pairing_model_rows(n, n - 1 - d, rng.split(2))
         if sparse is None:
             raise ValueError(
                 f"the pairing model drew no simple {d}-regular graph on {n} "
                 f"nodes, nor its complement, in {_PAIRING_MAX_ATTEMPTS} "
                 "attempts each"
             )
-        drawn = set(sparse)
-        edges = [e for e in combinations(range(n), 2) if e not in drawn]
-    deleting = rng.split(1)
-    for _ in range(deletions):
-        edges.pop(deleting.below(len(edges)))
-    return Graph.from_edges(n, edges)
+        full = (1 << n) - 1
+        rows = [full ^ row ^ 1 << u for u, row in enumerate(sparse)]
+    if deletions:
+        # the sorted edge list, each deletion an index into what is left
+        edges = [(u, v) for u in range(n) for v in bits_of(rows[u] >> u + 1 << u + 1)]
+        deleting = rng.split(1)
+        for _ in range(deletions):
+            u, v = edges.pop(deleting.below(len(edges)))
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    return Graph(n, rows, (0,) * n)
 
 
 def _is_prime(x: int) -> bool:
@@ -239,27 +267,27 @@ def prime_partite(primes: "set[int] | list[int] | tuple[int, ...]", n: int) -> G
 
 
 def cycle(k: int) -> Graph:
-    if k < 3:
-        raise ValueError("a cycle needs at least 3 nodes")
+    if not (_is_count(k) and k >= 3):
+        raise ValueError("a cycle needs at least 3 nodes, given as an int")
     return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
 
 
 def complete(k: int) -> Graph:
-    if k < 1:
-        raise ValueError("a complete graph needs at least 1 node")
+    if not (_is_count(k) and k >= 1):
+        raise ValueError("a complete graph needs at least 1 node, given as an int")
     return Graph.from_edges(k, list(combinations(range(k), 2)))
 
 
 def path(k: int) -> Graph:
-    if k < 1:
-        raise ValueError("a path needs at least 1 node")
+    if not (_is_count(k) and k >= 1):
+        raise ValueError("a path needs at least 1 node, given as an int")
     return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def star(k: int) -> Graph:
     """Star with k leaves: node 0 is the center, k + 1 nodes in total."""
-    if k < 1:
-        raise ValueError("a star needs at least 1 leaf")
+    if not (_is_count(k) and k >= 1):
+        raise ValueError("a star needs at least 1 leaf, given as an int")
     return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnpkit import (
+    Graph,
     UnsupportedSizeError,
     are_isomorphic,
     complete,
@@ -28,7 +29,7 @@ from rnpkit import generators
 from rnpkit.generators import (
     _DRAW_BLOCK,
     _pair_schedule,
-    _pairing_model_edges,
+    _pairing_model_rows,
     check_regular_parameters,
 )
 from rnpkit.rng import _GOLDEN, _MASK64, SplitMix64, _mix, _unmix
@@ -74,6 +75,21 @@ class TestErdosRenyi:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, 0)
+
+    @pytest.mark.parametrize("n, p, message", [
+        (3.0, 0.5, "node count must be a nonnegative integer"),
+        (True, 0.5, "node count must be a nonnegative integer"),
+        (-1, 0.5, "node count must be a nonnegative integer"),
+        (3, True, r"p must be a number in \[0, 1\]"),
+        (3, "0.5", r"p must be a number in \[0, 1\]"),
+        (3, None, r"p must be a number in \[0, 1\]"),
+        (3, float("nan"), r"p must be a number in \[0, 1\]"),
+    ])
+    def test_rejects_non_integer_n_and_non_number_p_before_drawing(self, n, p, message,
+                                                                   monkeypatch):
+        monkeypatch.setattr(generators, "SplitMix64", None)  # any draw fails
+        with pytest.raises(ValueError, match=message):
+            erdos_renyi(n, p, 1)
 
     def test_pinned_stream(self):
         # frozen draw from the pinned generator; changing the PRNG or the
@@ -140,7 +156,8 @@ class TestRandomRegular:
         for n in (2, 4, 6):
             for seed in range(10):
                 rng = SplitMix64(seed)
-                drawn = _pairing_model_edges(n, n - 1, rng.split(0))
+                rows = _pairing_model_rows(n, n - 1, rng.split(0))
+                drawn = Graph(n, rows, [0] * n).edges()
                 for deletions in range(len(drawn) + 1):
                     edges = list(drawn)
                     deleting = rng.split(1)
@@ -187,11 +204,45 @@ class TestRandomRegular:
             edges.pop(deleting.below(len(edges)))
         assert random_regular_perturbed(10, d, 2, 1).edges() == edges
 
+    def test_never_calls_from_edges(self, monkeypatch):
+        # the kernel's rows, or their complement, go straight into Graph,
+        # with or without deletions; (10, 6, 2) at seed 1 takes the complement
+        def from_edges(*args):
+            raise AssertionError("Graph.from_edges called")
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(from_edges))
+        for n, d, deletions, seed in _ROW_SPECS:
+            g = random_regular_perturbed(n, d, deletions, seed)
+            assert g.edge_count == n * d // 2 - deletions
+            if not deletions:
+                assert all(g.degree(v) == d for v in range(n))
+
+    @pytest.mark.parametrize("n, d, deletions, message", [
+        (True, 0, 0, "node count must be a nonnegative integer"),
+        (10.0, 3, 0, "node count must be a nonnegative integer"),
+        (-1, 0, 0, "node count must be a nonnegative integer"),
+        (10, True, 0, "degree and deletions must be nonnegative integers"),
+        (10, 3.0, 0, "degree and deletions must be nonnegative integers"),
+        (10, 3, True, "degree and deletions must be nonnegative integers"),
+        (10, 3, 1.0, "degree and deletions must be nonnegative integers"),
+    ])
+    def test_rejects_non_integer_sizes_before_drawing(self, n, d, deletions, message,
+                                                      monkeypatch):
+        monkeypatch.setattr(generators, "SplitMix64", None)  # any draw fails
+        with pytest.raises(ValueError, match=message):
+            random_regular_perturbed(n, d, deletions, 1)
+        with pytest.raises(ValueError, match=message):
+            check_regular_parameters(n, d, deletions)
+
     def test_complete_graph_is_prompt(self):
         start = time.monotonic()
         assert random_regular_perturbed(10, 9, 0, 1) == complete(10)
         assert random_regular_perturbed(10, 9, 5, 1).edge_count == 40
         assert time.monotonic() - start < 1.0
+
+
+_ROW_SPECS = [(10, 3, 0, 1), (10, 3, 2, 1), (10, 6, 2, 1), (10, 9, 0, 1), (10, 9, 5, 1),
+              (7, 0, 0, 3), (0, 0, 0, 1)]
 
 
 def _pinned_grid():
@@ -271,7 +322,8 @@ class TestPairingKernel:
     @staticmethod
     def assert_matches_reference(n, d, state):
         kernel, oracle = SplitMix64(state), SplitMix64(state)
-        assert _pairing_model_edges(n, d, kernel) == reference_pairing_edges(n, d, oracle)
+        rows = _pairing_model_rows(n, d, kernel)
+        assert Graph(n, rows, [0] * n).edges() == reference_pairing_edges(n, d, oracle)
         assert kernel.next_u64() == oracle.next_u64()
 
     @settings(max_examples=150, deadline=None)
@@ -315,7 +367,7 @@ class TestPairingKernel:
     def test_exhausted_budget_leaves_the_stream_unmoved(self, monkeypatch):
         monkeypatch.setattr(generators, "_PAIRING_MAX_ATTEMPTS", 3)
         pairing = SplitMix64(1).split(0)
-        assert _pairing_model_edges(10, 8, pairing) is None
+        assert _pairing_model_rows(10, 8, pairing) is None
         assert pairing.next_u64() == SplitMix64(1).split(0).next_u64()
 
     def test_schedule_covers_each_step_once_in_whole_pairs(self):
@@ -329,7 +381,7 @@ class TestPairingKernel:
 
     def test_degree_zero_draws_nothing(self):
         pairing = SplitMix64(3)
-        assert _pairing_model_edges(7, 0, pairing) == []
+        assert _pairing_model_rows(7, 0, pairing) == [0] * 7
         assert pairing.next_u64() == SplitMix64(3).next_u64()
 
 
@@ -474,6 +526,14 @@ class TestPatterns:
             star(0)
         with pytest.raises(ValueError):
             path(0)
+
+    @pytest.mark.parametrize("build, k", [
+        (cycle, True), (cycle, 3.0), (complete, True), (complete, 2.0),
+        (path, True), (path, 2.5), (star, True), (star, 1.0),
+    ])
+    def test_sizes_must_be_ints(self, build, k):
+        with pytest.raises(ValueError, match="given as an int"):
+            build(k)
 
 
 class TestEnumeration:
